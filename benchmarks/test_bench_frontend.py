@@ -1,19 +1,20 @@
 """Benchmark: batched Section 2.3 AoA frontend throughput.
 
 PRs 1-4 batched everything downstream of the spectrum -- the Equation 8 grid
-fold, the hill-climb refinement and the thread-sharded service -- but every
+fold, the hill-climb refinement and the sharded service -- but every
 AoA spectrum itself was still produced one frame at a time: per-frame
 covariance, per-frame 8x8 ``eigh``, per-frame noise-projection GEMM and a
 recomputed W(theta) window.  This benchmark measures the stacked frontend
 (:meth:`repro.core.pipeline.SpectrumComputer.compute_many` reached through
-``ArrayTrackAP.compute_spectra``) against the serial reference path
-(``SpectrumConfig.vectorized_frontend = False``), two ways:
+``ArrayTrackAP.compute_spectra``) against the serial per-frame oracle
+(:func:`repro.testing.reference.compute_spectra`), two ways:
 
 * **frontend microbench** -- one AP, one client, 256 buffered frames:
   frames-per-second through ``spectra_for_client`` with the full paper
   pipeline (smoothing, MUSIC, mirroring, weighting, symmetry removal);
 * **end to end** -- the office testbed: frames -> spectra -> fixes through
-  ``ArrayTrackService.localize_buffered`` over every deployment AP, so the
+  ``ArrayTrackService.localize_buffered`` over every deployment AP (serial:
+  the oracle's spectra into ``ArrayTrackService.localize_many``), so the
   number reflects what the batched frontend buys a whole localization sweep.
 
 Asserted: the vectorized frontend beats the serial path by >= 5x at 256
@@ -40,13 +41,14 @@ from repro.channel import MultipathChannel
 from repro.eval import format_table
 from repro.geometry.vector import Point2D
 from repro.testbed import ScenarioConfig, SimulatedDeployment, build_office_testbed
+from repro.testing import reference
 
 from conftest import run_once
 
 GRID_RESOLUTION_M = 0.25
 NUM_FRAMES = 256
 NUM_CLIENTS = 16
-REPETITIONS = 3
+REPETITIONS = 7
 SPEEDUP_FLOOR = 5.0
 #: Reduced problem sizes for the --bench-smoke CI canary.
 SMOKE_FRAMES = 24
@@ -72,30 +74,41 @@ def _buffered_ap(num_frames: int) -> ArrayTrackAP:
     return ap
 
 
-def _timed(callable_, repetitions: int = REPETITIONS):
-    result = callable_()           # warm caches / steady state
-    samples = []
+def _timed_pair(serial_run, batched_run, repetitions: int = REPETITIONS):
+    """Median wall time of two callables, sampled alternately.
+
+    Both are run once untimed (warm caches / steady state); the timed
+    repetitions then alternate serial, batched, serial, ... so a change in
+    host speed during the measurement falls on both paths alike instead of
+    on whichever happened to run while the host was slow.
+    """
+    serial, batched = serial_run(), batched_run()
+    serial_samples, batched_samples = [], []
     for _ in range(repetitions):
         start = time.perf_counter()
-        result = callable_()
-        samples.append(time.perf_counter() - start)
-    return result, float(np.median(samples))
+        serial = serial_run()
+        serial_samples.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        batched = batched_run()
+        batched_samples.append(time.perf_counter() - start)
+    return (serial, float(np.median(serial_samples)),
+            batched, float(np.median(batched_samples)))
 
 
 def measure_frontend(num_frames: int = NUM_FRAMES) -> dict[str, float]:
     """Time serial vs batched spectra over one AP's buffered frames."""
     ap = _buffered_ap(num_frames)
 
-    ap.config.spectrum.vectorized_frontend = False
-    serial, serial_s = _timed(lambda: ap.spectra_for_client("client"))
-    ap.config.spectrum.vectorized_frontend = True
-    batched, batched_s = _timed(lambda: ap.spectra_for_client("client"))
+    serial, serial_s, batched, batched_s = _timed_pair(
+        lambda: reference.compute_spectra(
+            ap, ap.buffer.entries_for_client("client")),
+        lambda: ap.spectra_for_client("client"))
 
     assert len(serial) == len(batched) == num_frames
-    for reference, candidate in zip(serial, batched, strict=True):
-        assert np.array_equal(reference.angles_deg, candidate.angles_deg), \
+    for expected, candidate in zip(serial, batched, strict=True):
+        assert np.array_equal(expected.angles_deg, candidate.angles_deg), \
             "batched frontend changed the angle grid"
-        assert np.array_equal(reference.power, candidate.power), \
+        assert np.array_equal(expected.power, candidate.power), \
             "batched frontend diverged from the serial reference path"
     return {
         "num_frames": num_frames,
@@ -120,14 +133,21 @@ def measure_end_to_end(num_clients: int = NUM_CLIENTS) -> dict[str, float]:
         {"server.localizer.grid_resolution_m": GRID_RESOLUTION_M}))
     service.adopt_aps(deployment.aps.values())
 
-    def set_frontend(vectorized: bool) -> None:
-        for ap in deployment.aps.values():
-            ap.config.spectrum.vectorized_frontend = vectorized
+    def serial_sweep():
+        """The buffered sweep with every spectrum from the serial oracle."""
+        spectra_by_client = {}
+        for client_id in clients:
+            per_ap = {}
+            for ap in deployment.aps.values():
+                entries = ap.buffer.entries_for_client(client_id)
+                if entries:
+                    per_ap[ap.ap_id] = reference.compute_spectra(ap, entries)
+            if per_ap:
+                spectra_by_client[client_id] = per_ap
+        return service.localize_many(spectra_by_client)
 
-    set_frontend(False)
-    serial, serial_s = _timed(lambda: service.localize_buffered(clients))
-    set_frontend(True)
-    batched, batched_s = _timed(lambda: service.localize_buffered(clients))
+    serial, serial_s, batched, batched_s = _timed_pair(
+        serial_sweep, lambda: service.localize_buffered(clients))
 
     assert list(serial) == list(batched), "client order diverged"
     for client_id, expected in serial.items():

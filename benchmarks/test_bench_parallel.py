@@ -3,28 +3,29 @@
 The Section 2.5 refinement used to be the scaling cliff of the batched
 engine: grid synthesis ran in stacked NumPy passes, then hill climbing fell
 back to one Python likelihood call per candidate point per climber.  This
-benchmark measures end-to-end ``ArrayTrackService.localize_many`` over the
-office testbed with refinement *enabled*, four ways:
+benchmark measures batched localization over the office testbed with
+refinement *enabled*, three ways:
 
-* ``serial seed`` -- the pre-optimization path:
-  ``server.localizer.vectorized_refinement=False`` and no parallel backend
-  (per-candidate Python hill climbing, one thread);
-* ``vectorized`` -- the batched refiner
-  (:func:`repro.core.optimizer.refine_many`): every round evaluates the
-  stacked candidates of all clients' climbers in one Equation 8 pass per AP;
-* ``vectorized + threads`` -- the same, plus ``parallel.backend=thread``
-  sharding the batch across 4 workers (GIL-releasing NumPy overlap only);
+* ``serial seed`` -- the pre-optimization path: the Equation 8 synthesis
+  with the per-client serial climber of
+  :class:`repro.testing.reference.SerialRefinementLocalizer` (one Python
+  likelihood call per candidate point, one thread);
+* ``vectorized`` -- ``ArrayTrackService.localize_many`` with the batched
+  refiner (:func:`repro.core.optimizer.refine_many`): every round evaluates
+  the stacked candidates of all clients' climbers in one Equation 8 pass
+  per AP;
 * ``vectorized + processes`` -- the same, plus ``parallel.backend=process``
   sharding across 4 spawned worker processes with shared-memory spectra
   (no interpreter lock shared between shards).
 
-Asserted: the thread configuration beats the serial seed path by >= 3x at
-256 clients / 4 workers, the process configuration additionally beats the
-thread backend by >= 2x *on a multi-core runner* (the bar is skipped, and
-recorded in the JSON, when fewer than 4 CPUs are visible -- process
-sharding cannot beat threads on one core), and every configuration produces
-fixes bit-for-bit identical to the serial seed path (the refinement replay
-and the shard merge preserve every tie-break).
+Asserted: the vectorized configuration beats the serial seed path by >= 3x
+at 256 clients, the process configuration additionally beats the serial
+seed path by >= 3x and the vectorized configuration by >= 2x *on a
+multi-core runner* (the bars are skipped, and recorded in the JSON, when
+fewer than 4 CPUs are visible -- process sharding needs spare cores to
+win), and every configuration produces fixes bit-for-bit identical to
+the serial seed path (the refinement replay and the shard merge preserve
+every tie-break).
 
 Timings are emitted to ``BENCH_parallel.json`` (same schema style as
 ``BENCH_frontend.json``) so the perf trajectory covers parallel scale-out.
@@ -47,6 +48,7 @@ from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.eval import format_table
 from repro.geometry.vector import Point2D, bearing_deg
 from repro.testbed.office import OfficeTestbed
+from repro.testing.reference import SerialRefinementLocalizer
 
 from conftest import run_once
 
@@ -55,8 +57,9 @@ NUM_CLIENTS = 256
 NUM_WORKERS = 4
 REPETITIONS = 3
 SPEEDUP_FLOOR = 3.0
-#: Process-over-thread bar; only meaningful with real cores to spread over.
-PROCESS_VS_THREAD_FLOOR = 2.0
+#: Process-over-vectorized bar; only meaningful with real cores to spread
+#: over.
+PROCESS_VS_VECTORIZED_FLOOR = 2.0
 MIN_CPUS_FOR_PROCESS_BAR = 4
 #: Reduced problem size for the --bench-smoke CI canary.
 SMOKE_CLIENTS = 24
@@ -90,52 +93,54 @@ def _synthesize_clients(testbed: OfficeTestbed, count: int,
     return clients
 
 
-def _service(testbed: OfficeTestbed, vectorized: bool,
-             backend: str) -> ArrayTrackService:
-    config = ArrayTrackConfig(bounds=testbed.bounds).updated({
+def _config(testbed: OfficeTestbed, backend: str) -> ArrayTrackConfig:
+    return ArrayTrackConfig(bounds=testbed.bounds).updated({
         "server.localizer.grid_resolution_m": GRID_RESOLUTION_M,
-        "server.localizer.vectorized_refinement": vectorized,
         "parallel.backend": backend,
         "parallel.num_workers": NUM_WORKERS,
         "parallel.min_clients_per_worker": 2,
     })
-    return ArrayTrackService(config)
 
 
 def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
-    """Time the four refinement/sharding configurations over one batch.
+    """Time the three refinement/sharding configurations over one batch.
 
     Every configuration gets one untimed warm-up pass (cache warm-up, and
     for the process backend the worker spawn + per-worker cache warm-up)
-    before its timed repetitions, then is closed; bit-equality against the
-    serial seed fixes is asserted for every other configuration.  Results
-    are written to :data:`RESULTS_PATH`.
+    before its timed repetitions; bit-equality against the serial seed
+    fixes is asserted for every other configuration.  Results are written
+    to :data:`RESULTS_PATH`.
     """
     testbed = OfficeTestbed()
     rng = np.random.default_rng(2026)
     clients = _synthesize_clients(testbed, num_clients, rng)
-    services = {
-        "serial seed": _service(testbed, vectorized=False, backend="none"),
-        "vectorized": _service(testbed, vectorized=True, backend="none"),
-        "vectorized + threads": _service(testbed, vectorized=True,
-                                         backend="thread"),
-        "vectorized + processes": _service(testbed, vectorized=True,
-                                           backend="process"),
+    # One spectrum per AP, so the server's suppression stage passes each
+    # through and the oracle synthesizes exactly what the service does.
+    spectra_by_client = {client_id: [spectra[0] for spectra in per_ap.values()]
+                         for client_id, per_ap in clients.items()}
+    serial_seed = SerialRefinementLocalizer(
+        testbed.bounds, _config(testbed, "none").server.localizer)
+    vectorized = ArrayTrackService(_config(testbed, "none"))
+    processes = ArrayTrackService(_config(testbed, "process"))
+    runs = {
+        "serial seed": lambda: serial_seed.estimate_batch(spectra_by_client),
+        "vectorized": lambda: vectorized.localize_many(clients),
+        "vectorized + processes": lambda: processes.localize_many(clients),
     }
     estimates: dict[str, dict[str, object]] = {}
     timings: dict[str, float] = {}
-    for name, service in services.items():
-        estimates[name] = service.localize_many(clients)   # warm the caches
+    for name, run in runs.items():
+        estimates[name] = run()   # warm the caches (and spawn the pool)
         samples = []
         for _ in range(REPETITIONS):
             start = time.perf_counter()
-            estimates[name] = service.localize_many(clients)
+            estimates[name] = run()
             samples.append(time.perf_counter() - start)
         timings[name] = float(np.median(samples))
-        service.close()
+    vectorized.close()
+    processes.close()
     reference = estimates["serial seed"]
-    for name in ("vectorized", "vectorized + threads",
-                 "vectorized + processes"):
+    for name in ("vectorized", "vectorized + processes"):
         assert list(estimates[name]) == list(reference), (
             f"{name} returned clients out of order")
         for client_id, expected in reference.items():
@@ -157,8 +162,8 @@ def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
                 "speedup_vs_serial": serial_s / seconds,
             }
             for name, seconds in timings.items()},
-        "process_vs_thread": (timings["vectorized + threads"]
-                              / timings["vectorized + processes"]),
+        "process_vs_vectorized": (timings["vectorized"]
+                                  / timings["vectorized + processes"]),
         "process_bar_applies": (os.cpu_count() or 1)
         >= MIN_CPUS_FOR_PROCESS_BAR,
     }
@@ -173,11 +178,11 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
 
     The serial seed path re-enters the Equation 8 likelihood once per
     candidate point of every climber; the vectorized refiner folds each
-    round's candidates in stacked passes, the thread backend shards the
-    batch across workers, and the process backend spreads the shards over
-    worker processes.  All are asserted bit-identical to the serial fixes
-    at any size; the speedup bars apply at 256 clients / 4 workers (the
-    process-over-thread bar additionally needs >= 4 visible CPUs).
+    round's candidates in stacked passes, and the process backend spreads
+    the batch's shards over worker processes.  All are asserted
+    bit-identical to the serial fixes at any size; the speedup bars apply
+    at 256 clients (the process bars additionally need >= 4 visible
+    CPUs).
     """
     num_clients = SMOKE_CLIENTS if bench_smoke else NUM_CLIENTS
     results = run_once(benchmark, measure_parallel, num_clients)
@@ -195,17 +200,17 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
               f"{NUM_WORKERS} workers, {results['cpu_count']} cpus"))
     bar_note = "applies" if results["process_bar_applies"] \
         else "skipped: fewer than 4 visible CPUs"
-    print(f"process vs thread: {results['process_vs_thread']:.2f}x "
+    print(f"process vs vectorized: {results['process_vs_vectorized']:.2f}x "
           f"(bar {bar_note})")
     print(f"results written to {RESULTS_PATH}")
     if not bench_smoke:
-        speedup = configs["vectorized + threads"]["speedup_vs_serial"]
+        speedup = configs["vectorized"]["speedup_vs_serial"]
         assert speedup >= SPEEDUP_FLOOR, (
-            f"vectorized + sharded refinement must be >= {SPEEDUP_FLOOR}x "
+            f"vectorized refinement must be >= {SPEEDUP_FLOOR}x "
             f"the serial seed path, got {speedup:.2f}x")
-        assert configs["vectorized + threads"]["seconds"] \
+        assert configs["vectorized"]["seconds"] \
             <= configs["serial seed"]["seconds"], (
-            "the parallel path must not lose to the serial seed path")
+            "the vectorized path must not lose to the serial seed path")
         if results["process_bar_applies"]:
             process_speedup = \
                 configs["vectorized + processes"]["speedup_vs_serial"]
@@ -213,11 +218,11 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
                 f"process sharding must be >= {SPEEDUP_FLOOR}x the serial "
                 f"seed path on a multi-core runner, "
                 f"got {process_speedup:.2f}x")
-            assert results["process_vs_thread"] \
-                >= PROCESS_VS_THREAD_FLOOR, (
-                f"process sharding must be >= {PROCESS_VS_THREAD_FLOOR}x "
-                f"the thread backend on a multi-core runner, "
-                f"got {results['process_vs_thread']:.2f}x")
+            assert results["process_vs_vectorized"] \
+                >= PROCESS_VS_VECTORIZED_FLOOR, (
+                f"process sharding must be >= {PROCESS_VS_VECTORIZED_FLOOR}x "
+                f"the unsharded vectorized path on a multi-core runner, "
+                f"got {results['process_vs_vectorized']:.2f}x")
 
 
 if __name__ == "__main__":

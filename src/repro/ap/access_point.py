@@ -250,9 +250,6 @@ class ArrayTrackAP:
         entries = list(entries)
         if not entries:
             return []
-        if not self.config.spectrum.vectorized_frontend:
-            # The serial reference path, frame by frame.
-            return [self.compute_spectrum(entry) for entry in entries]
         groups: dict[tuple[int, int], list[int]] = {}
         for index, entry in enumerate(entries):
             groups.setdefault(entry.snapshots.samples.shape, []).append(index)

@@ -1,10 +1,9 @@
 """Process-backend sharding: a persistent spawn pool + shared-memory spectra.
 
-``ParallelConfig.backend = "thread"`` shards batches across threads, which
-only overlaps the GIL-releasing NumPy regions; everything Python-bound in a
-shard still serializes on one interpreter lock.  This module is the
-``"process"`` backend that breaks that ceiling: a lazy, persistent pool of
-*spawned* worker processes, each owning its own :class:`~repro.server.
+Threads would only overlap the GIL-releasing NumPy regions of a shard;
+everything Python-bound would still serialize on one interpreter lock.
+This module is the ``"process"`` backend of ``ParallelConfig``: a lazy,
+persistent pool of *spawned* worker processes, each owning its own :class:`~repro.server.
 backend.ArrayTrackServer` (and therefore its own steering/bearing/window
 caches, warmed in the worker initializer), with the bulk frame data --
 angle grids and spectrum power rows -- moved through one
@@ -18,7 +17,7 @@ things cross the pickle pipe:
 
 Workers rebuild each shard's :class:`~repro.core.spectrum.AoASpectrum`
 objects as zero-copy read-only views into the segment, run the *identical*
-suppression + synthesis stages the thread backend runs, and return fixes.
+suppression + synthesis stages the serial path runs, and return fixes.
 Because every stage is deterministic and the shard merge preserves the
 caller's client order, process-sharded results are bit-for-bit identical to
 the serial path (asserted by ``tests/api/test_process_backend.py``).
@@ -312,7 +311,7 @@ def _tick_shard(handle: _SegmentHandle, shard: _TickShard,
                 suppress: bool) -> dict[str, LocationEstimate]:
     """Worker task behind ``tick`` / ``flush``.
 
-    Replicates the thread backend's shard closure exactly: with the
+    Replicates the service's serial drain exactly: with the
     streaming suppression stage on, each AP's pending frames are suppressed
     per time group (on the ingest-resolved timestamps) and the primaries
     enter the raw synthesis; with it off, the raw pending spectra go

@@ -2,9 +2,8 @@
 
 The process backend is the fastest rung of a ladder, not a single point of
 failure: when its pool keeps breaking even *with* supervision (rebuild +
-retry in :mod:`repro.api._procpool`), the service steps down to the thread
-backend, and from there to plain serial execution -- which cannot fail for
-infrastructure reasons at all.  The :class:`CircuitBreaker` here decides
+retry in :mod:`repro.api._procpool`), the service steps down to plain
+serial execution -- which cannot fail for infrastructure reasons at all.  The :class:`CircuitBreaker` here decides
 which rung a batch enters at and when to probe a faster rung again
 (half-open), so a persistent failure costs each batch at most one doomed
 attempt per recovery window instead of a full retry storm.
@@ -34,9 +33,7 @@ def backend_ladder(backend: str) -> tuple[str, ...]:
     what makes "never fail a batch serial could have served" enforceable.
     """
     if backend == "process":
-        return ("process", "thread", "serial")
-    if backend == "thread":
-        return ("thread", "serial")
+        return ("process", "serial")
     return ("serial",)
 
 
@@ -164,7 +161,7 @@ class ResilienceStats:
         #: Frames rejected as poison (NaN/inf values, mismatched grids).
         self.poison_rejected = 0
         #: Batches served by a lower rung than they entered at, keyed by
-        #: the rung that served them (e.g. ``{"thread": 2, "serial": 1}``).
+        #: the rung that served them (e.g. ``{"serial": 2}``).
         self.fallbacks: dict[str, int] = {}
         #: Message of the transient error behind the most recent fallback.
         self.last_fallback_error: str | None = None

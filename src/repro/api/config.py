@@ -112,23 +112,20 @@ class ParallelConfig:
     When enabled, :meth:`~repro.api.ArrayTrackService.localize_many`,
     :meth:`~repro.api.ArrayTrackService.localize_buffered` and
     :meth:`~repro.api.ArrayTrackService.tick` split their client batch into
-    contiguous shards and run each shard's synthesis on a worker.  With the
-    ``"thread"`` backend the hot Equation 8 folds overlap in their
-    GIL-releasing NumPy regions; the ``"process"`` backend goes further and
-    runs each shard in a spawned worker process with its own interpreter
-    (frame arrays travel through shared memory, so only shard metadata and
-    the returned fixes are pickled).  Every shard drains through the
-    unchanged suppression/synthesis pipeline and the per-shard batches are
+    contiguous shards and run each shard's suppression + synthesis in a
+    spawned worker process with its own interpreter (frame arrays travel
+    through shared memory, so only shard metadata and the returned fixes
+    are pickled).  Every shard drains through the unchanged
+    suppression/synthesis pipeline and the per-shard batches are
     themselves bit-for-bit identical to single-client fixes, so sharded
-    results equal the serial path exactly -- whichever backend runs them;
-    only the tracker commit stays on the calling thread.
+    results equal the serial path exactly; only the tracker commit stays
+    in the calling process.
 
     Attributes
     ----------
     backend:
         ``"none"`` (the default) runs everything on the calling thread;
-        ``"thread"`` shards batches across a worker-thread pool;
-        ``"process"`` shards them across a persistent pool of spawned
+        ``"process"`` shards batches across a persistent pool of spawned
         worker processes (requires the config tree to be picklable, which
         every built-in section is; see ``docs/api.md``).
     num_workers:
@@ -144,9 +141,9 @@ class ParallelConfig:
     min_clients_per_worker: int = 8
 
     def __post_init__(self) -> None:
-        if self.backend not in ("none", "thread", "process"):
+        if self.backend not in ("none", "process"):
             raise ConfigurationError(
-                f"parallel backend must be 'none', 'thread' or 'process', "
+                f"parallel backend must be 'none' or 'process', "
                 f"got {self.backend!r}")
         self._require_positive_int("num_workers", self.num_workers)
         self._require_positive_int("min_clients_per_worker",
@@ -169,8 +166,8 @@ class ResilienceConfig:
     mode catalogue): **pool supervision** (retry crashed/stalled process
     shards with exponential backoff and rebuild the pool), **graceful
     degradation** (a circuit breaker that falls down the backend ladder
-    process -> thread -> serial after repeated failures and half-open-
-    probes its way back), and **admission control** (a service-wide
+    process -> serial after repeated failures and half-open-probes its
+    way back), and **admission control** (a service-wide
     pending-frame budget with a shed policy, plus poison-frame rejection
     at ingest).  Every knob round-trips through dict/JSON/env exactly like
     the rest of :class:`ArrayTrackConfig`.

@@ -24,15 +24,10 @@ is that service as a single public object, built from one
   :class:`~repro.ap.access_point.ArrayTrackAP`\\ s from the config tree's
   ``ap`` section (with the registry-resolved estimator applied), so the
   whole deployment is configured from one place.
-
-The legacy entry points (``ArrayTrackServer.localize_spectra``,
-``repro.quickstart.*``) remain as deprecated shims over this facade.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
@@ -282,9 +277,7 @@ class ArrayTrackService:
         self._suppressor = config.suppressor
         self._sessions: dict[str, Session] = {}
         self._aps: dict[str, ArrayTrackAP] = {}
-        #: Lazily created worker pools of the ``parallel`` config section
-        #: (thread backend / process backend respectively).
-        self._executor: ThreadPoolExecutor | None = None
+        #: Lazily created worker pool of the ``parallel`` config section.
         self._procpool: ProcessShardPool | None = None
         self._closed = False
         #: The resilience layer: degradation ladder + breaker, service
@@ -380,7 +373,7 @@ class ArrayTrackService:
         the merged result in the caller's original client order.
         """
         parallel = self.config.parallel
-        if parallel.backend not in ("thread", "process"):
+        if parallel.backend != "process":
             return None
         num_shards = min(parallel.num_workers,
                          len(keys) // parallel.min_clients_per_worker)
@@ -394,15 +387,8 @@ class ArrayTrackService:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ConfigurationError(
-                "this ArrayTrackService is closed (its worker pools are "
+                "this ArrayTrackService is closed (its worker pool is "
                 "shut down); build a new service instead of reusing it")
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.parallel.num_workers,
-                thread_name_prefix="arraytrack-worker")
-        return self._executor
 
     def _process_pool(self) -> ProcessShardPool:
         if self._procpool is None:
@@ -412,45 +398,7 @@ class ArrayTrackService:
                                               warm_positions=warm)
         return self._procpool
 
-    def _timed_pass(self, run: Callable[[], dict[str, LocationEstimate]]
-                    ) -> dict[str, LocationEstimate]:
-        """Run one parallel pass, recording its whole wall-clock duration.
-
-        Each shard's own processing-time measurement only covers that
-        shard, so after a parallel pass the duration of the *entire* fan
-        out is recorded on the server instead.
-        """
-        measure = self.config.server.measure_processing_time
-        start = time.perf_counter() if measure else None
-        estimates = run()
-        if start is not None:
-            self._server.record_processing_time(time.perf_counter() - start)
-        return estimates
-
-    def _run_sharded(self, shards: list[list[str]],
-                     synthesize: Callable[[list[str]],
-                                          dict[str, LocationEstimate]]
-                     ) -> dict[str, LocationEstimate]:
-        """Run ``synthesize`` per shard on the thread pool, merge in order.
-
-        The NumPy reductions inside each shard's Equation 8 fold release
-        the GIL, so shards genuinely overlap.
-        """
-        def run() -> dict[str, LocationEstimate]:
-            faults.thread_shard()
-            futures = [self._pool().submit(synthesize, shard)
-                       for shard in shards]
-            estimates: dict[str, LocationEstimate] = {}
-            for future in futures:
-                estimates.update(future.result())
-            return estimates
-
-        return self._timed_pass(run)
-
-    def _fanout(self, shards: list[list[str]],
-                process_run: Callable[[], dict[str, LocationEstimate]],
-                synthesize: Callable[[list[str]],
-                                     dict[str, LocationEstimate]],
+    def _fanout(self, process_run: Callable[[], dict[str, LocationEstimate]],
                 serial_run: Callable[[], dict[str, LocationEstimate]]
                 ) -> dict[str, LocationEstimate]:
         """Serve one sharded batch, walking the degradation ladder.
@@ -468,14 +416,10 @@ class ArrayTrackService:
         """
         entry = self._breaker.entry_index()
         for index in range(entry, len(self._ladder)):
-            rung = self._ladder[index]
+            run = process_run if self._ladder[index] == "process" \
+                else serial_run
             try:
-                if rung == "process":
-                    estimates = self._timed_pass(process_run)
-                elif rung == "thread":
-                    estimates = self._run_sharded(shards, synthesize)
-                else:
-                    estimates = self._timed_pass(serial_run)
+                estimates = self._server._timed(run)
             except TransientError as exc:
                 self._breaker.record_failure(index)
                 if index + 1 >= len(self._ladder) \
@@ -490,19 +434,16 @@ class ArrayTrackService:
                              "fail transiently")  # pragma: no cover
 
     def close(self) -> None:
-        """Shut down the worker pools and mark the service closed.
+        """Shut down the worker pool and mark the service closed.
 
         Idempotent.  After ``close()`` the localization entry points
         (:meth:`localize`, :meth:`localize_many`,
         :meth:`localize_buffered`, :meth:`tick`, :meth:`flush`) raise
         :class:`~repro.errors.ConfigurationError` instead of silently
-        rebuilding the pools -- with the process backend a rebuilt pool
-        would re-spawn workers, which is far too expensive to happen by
-        accident.  Build a new service to continue.
+        rebuilding the pool -- a rebuilt pool would re-spawn workers, which
+        is far too expensive to happen by accident.  Build a new service to
+        continue.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
@@ -528,24 +469,19 @@ class ArrayTrackService:
                       ) -> dict[str, LocationEstimate]:
         """Localize many clients in one vectorized synthesis pass.
 
-        With ``parallel.backend="thread"`` or ``"process"`` and a large
-        enough batch, the clients are split into contiguous shards and
-        each shard's suppression + synthesis runs on a worker thread or a
-        worker process (spectra travel through shared memory); results are
-        bit-for-bit identical to the serial path either way.
+        With ``parallel.backend="process"`` and a large enough batch, the
+        clients are split into contiguous shards and each shard's
+        suppression + synthesis runs in a worker process (spectra travel
+        through shared memory); results are bit-for-bit identical to the
+        serial path.
         """
         self._ensure_open()
-        keys = list(spectra_by_client.keys())
-        shards = self._shards(keys)
+        shards = self._shards(list(spectra_by_client.keys()))
         if shards is None:
             return self._server.localize_batch(spectra_by_client)
         return self._fanout(
-            shards,
             lambda: self._process_pool().localize_shards(
                 shards, spectra_by_client),
-            lambda shard: self._server.localize_batch(
-                {client_id: spectra_by_client[client_id]
-                 for client_id in shard}),
             lambda: self._server.localize_batch(spectra_by_client))
 
     def localize_buffered(self, client_ids: Sequence[str],
@@ -912,44 +848,41 @@ class ArrayTrackService:
         # every drained client's pending frames.  On such an error the
         # exception propagates with all sessions intact; the caller can
         # discard a poisoned session explicitly via session.drain().
-        if self.config.session.suppress_multipath:
-            # detect -> buffer -> spectrum -> multipath suppression ->
-            # synthesis (the paper's full pipeline): each AP's pending
-            # frames are grouped by capture time and every group's
-            # suppressed primary enters the one-pass synthesis.  The raw
-            # batch entry is skipped so the server's batch-path suppressor
-            # cannot run a second time over the already-suppressed output.
-            def synthesize(shard: list[str]) -> dict[str, LocationEstimate]:
-                batch = {client_id: self._suppress_pending(sessions[client_id])
-                         for client_id in shard}
-                return self._server.synthesize_batch(batch)
-        else:
-            def synthesize(shard: list[str]) -> dict[str, LocationEstimate]:
-                batch = {client_id: sessions[client_id].pending_spectra()
-                         for client_id in shard}
-                return self._server.localize_batch(batch)
+        suppress = self.config.session.suppress_multipath
 
-        keys = list(sessions.keys())
-        shards = self._shards(keys)
+        def synthesize() -> dict[str, LocationEstimate]:
+            if suppress:
+                # detect -> buffer -> spectrum -> multipath suppression ->
+                # synthesis (the paper's full pipeline): each AP's pending
+                # frames are grouped by capture time and every group's
+                # suppressed primary enters the one-pass synthesis.  The
+                # raw batch entry is skipped so the server's batch-path
+                # suppressor cannot run a second time over the
+                # already-suppressed output.
+                return self._server.synthesize_batch(
+                    {client_id: self._suppress_pending(session)
+                     for client_id, session in sessions.items()})
+            return self._server.localize_batch(
+                {client_id: session.pending_spectra()
+                 for client_id, session in sessions.items()})
+
+        shards = self._shards(list(sessions.keys()))
         if shards is None:
-            estimates = synthesize(keys)
+            estimates = self._server._timed(synthesize)
         else:
-            # Every rung of the ladder runs the identical suppression +
+            # Both rungs of the ladder run the identical suppression +
             # synthesis stages over the ready sessions: the process rung
             # ships each session's pending (timestamp, spectrum) pairs to
-            # the worker processes through shared memory, the thread rung
-            # fans the synthesize closure out on the thread pool, serial
-            # runs it inline.  Sessions are only read here, and the
-            # tracker commit below stays on the calling thread.
+            # the worker processes through shared memory, serial runs them
+            # inline.  Sessions are only read here, and the tracker commit
+            # below stays in the calling process.
             estimates = self._fanout(
-                shards,
                 lambda: self._process_pool().tick_shards(
                     shards,
-                    {client_id: sessions[client_id].pending_timestamped()
-                     for client_id in keys},
-                    self.config.session.suppress_multipath),
-                synthesize,
-                lambda: synthesize(keys))
+                    {client_id: session.pending_timestamped()
+                     for client_id, session in sessions.items()},
+                    suppress),
+                synthesize)
         timestamps: dict[str, float] = {}
         for client_id in estimates:
             session = sessions[client_id]
@@ -1008,7 +941,11 @@ class ArrayTrackService:
     # ------------------------------------------------------------------
     @property
     def last_processing_s(self) -> float | None:
-        """Wall-clock duration of the most recent synthesis, if measured."""
+        """Wall-clock duration of the most recent localization call, if measured.
+
+        Covers suppression + synthesis on every path -- serial, sharded,
+        and streaming (:meth:`tick` / :meth:`flush`) alike.
+        """
         return self._server.last_processing_s
 
     def latency_breakdown(self, payload_bytes: int = 1500,

@@ -110,11 +110,10 @@ class SteeringCache:
         self.max_entries = max_entries
         self.stats = CacheStats()  # guarded-by: _lock
         self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()  # guarded-by: _lock
-        # The service's thread-sharded execution drives this cache from
-        # worker threads; the lookup/move-to-end/evict sequences are not
-        # atomic on their own (a concurrent eviction between get() and
-        # move_to_end() raises KeyError), so every entry/stats mutation
-        # takes this lock.  The (expensive) table computation itself stays
+        # The process-wide default instance is shared by every caller
+        # thread; the lookup/move-to-end/evict sequences are not atomic on
+        # their own (a concurrent eviction between get() and move_to_end()
+        # raises KeyError), so every entry/stats mutation takes this lock.  The (expensive) table computation itself stays
         # outside: a racing duplicate compute is benign and identical.
         self._lock = threading.Lock()
 
@@ -252,7 +251,7 @@ class BearingGridCache:
         self.max_entries = max_entries
         self.stats = CacheStats()  # guarded-by: _lock
         self._entries: "OrderedDict[tuple, BearingGrid]" = OrderedDict()  # guarded-by: _lock
-        # See SteeringCache: worker threads share this cache, so entry and
+        # See SteeringCache: caller threads share this cache, so entry and
         # stats mutations are locked; the arctan2 sweep runs outside.
         self._lock = threading.Lock()
 
@@ -337,11 +336,11 @@ class WindowCache:
     seed pipeline recomputed it for every frame.  Like its sibling
     :class:`SteeringCache`, the key is content-derived (the grid enters via
     its raw bytes) so every AP sharing a grid signature shares one window,
-    and entry/stats mutations are lock-protected because the service's
-    thread-sharded execution drives spectrum computation from worker
-    threads.  The computation itself is injected by the caller (keeps this
-    module free of a weighting import cycle) and runs outside the lock: a
-    racing duplicate compute is benign and identical.
+    and entry/stats mutations are lock-protected because the process-wide
+    default instance is shared by every caller thread.  The computation
+    itself is injected by the caller (keeps this module free of a weighting
+    import cycle) and runs outside the lock: a racing duplicate compute is
+    benign and identical.
     """
 
     def __init__(self, max_entries: int = 64) -> None:

@@ -19,9 +19,9 @@ in stacked NumPy passes -- one stacked covariance/smoothing pass, one stacked
 ``np.linalg.eigh``, the vectorized source-count rule, one noise-projection
 GEMM per (geometry, D) frame group, vectorized mirroring, the cached
 W(theta) window and a stacked Bartlett side-power pass for symmetry removal.
-The batched path is gated by :attr:`SpectrumConfig.vectorized_frontend` and
-is bit-for-bit identical to looping :meth:`SpectrumComputer.compute` over
-the same frames.
+The batched path is the only production path for many frames; it is
+bit-for-bit identical to looping :meth:`SpectrumComputer.compute` over the
+same frames, the serial oracle kept in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
@@ -90,11 +90,6 @@ class SpectrumConfig:
         symmetry removal.  A small non-zero value keeps an occasional wrong
         side decision from zeroing the true bearing out of the likelihood
         product entirely.
-    vectorized_frontend:
-        Run :meth:`SpectrumComputer.compute_many` through the stacked
-        Section 2.3 pipeline (the default).  ``False`` keeps the serial
-        per-frame path as the reference implementation; both produce
-        bit-for-bit identical spectra.
     """
 
     smoothing_groups: int = DEFAULT_SMOOTHING_GROUPS
@@ -105,7 +100,6 @@ class SpectrumConfig:
     forward_backward: bool = False
     elevation_deg: float = 0.0
     symmetry_attenuation: float = 0.1
-    vectorized_frontend: bool = True
 
     def __post_init__(self) -> None:
         if self.smoothing_groups < 1:
@@ -113,10 +107,6 @@ class SpectrumConfig:
         if self.method not in _VALID_METHODS:
             raise EstimationError(
                 f"unknown spectrum method {self.method!r}; valid: {_VALID_METHODS}")
-        if not isinstance(self.vectorized_frontend, bool):
-            raise EstimationError(
-                f"vectorized_frontend must be a boolean, "
-                f"got {self.vectorized_frontend!r}")
 
 
 class SpectrumComputer:
@@ -198,9 +188,7 @@ class SpectrumComputer:
         source counting, the Equation 6 noise projection (one GEMM per
         source-count group), mirroring and the W(theta) window -- run once
         over the whole stack.  Results are bit-for-bit identical to
-        calling :meth:`compute` frame by frame; with
-        ``config.vectorized_frontend = False`` that serial loop *is* the
-        implementation (the reference path).
+        calling :meth:`compute` frame by frame.
 
         Parameters
         ----------
@@ -216,9 +204,6 @@ class SpectrumComputer:
         snapshots_list = list(snapshots_list)
         if not snapshots_list:
             return []
-        if not self.config.vectorized_frontend:
-            return [self.compute(snapshots, array, linear_indices)
-                    for snapshots in snapshots_list]
         return self.compute_many_stacked(self._stack_samples(snapshots_list),
                                          snapshots_list, array, linear_indices)
 
@@ -227,14 +212,12 @@ class SpectrumComputer:
                              array: DeployedArray,
                              linear_indices: Sequence[int] | None = None
                              ) -> list[AoASpectrum]:
-        """Raw-stack variant of :meth:`compute_many` (always vectorized).
+        """Raw-stack variant of :meth:`compute_many`.
 
         Callers that already hold the calibrated ``(F, M, N)`` sample stack
         (the AP compensates all frames' phase offsets in one broadcast
         multiply) skip the per-frame re-stacking; ``frames`` only supplies
-        each spectrum's metadata (client id, AP id, timestamp).  The
-        ``vectorized_frontend`` gate is the caller's responsibility -- this
-        *is* the vectorized implementation.
+        each spectrum's metadata (client id, AP id, timestamp).
         """
         stack, frames = self._check_stack(stack, frames)
         if not frames:
@@ -252,17 +235,12 @@ class SpectrumComputer:
 
         Computes the mirrored spectra through :meth:`compute_many`, then
         resolves every frame's mirror ambiguity in one stacked Bartlett
-        side-power pass (Section 2.3.4).  Bit-for-bit identical to the
-        serial per-frame path, which ``config.vectorized_frontend = False``
-        selects directly.
+        side-power pass (Section 2.3.4).  Bit-for-bit identical to calling
+        :meth:`compute_with_symmetry` frame by frame.
         """
         snapshots_list = list(snapshots_list)
         if not snapshots_list:
             return []
-        if not self.config.vectorized_frontend:
-            return [self.compute_with_symmetry(snapshots, array,
-                                               linear_indices, full_indices)
-                    for snapshots in snapshots_list]
         return self.compute_many_with_symmetry_stacked(
             self._stack_samples(snapshots_list), snapshots_list, array,
             linear_indices, full_indices)

@@ -16,22 +16,19 @@ Beyond the paper's single-client flow, :meth:`ArrayTrackServer.localize_batch`
 accepts many clients at once and hands them to the vectorized
 :class:`~repro.core.batch.BatchLocalizer`, which evaluates the Equation 8
 grid for the whole batch in stacked NumPy passes while reusing the cached
-per-AP bearing tables.  Batched fixes are bit-for-bit identical to looping
-:meth:`ArrayTrackServer.localize_spectra` over the same clients -- the single
-client path *is* the batch path with a batch of one.
+per-AP bearing tables.  Batched fixes are bit-for-bit identical to
+localizing each client alone -- the single-client path *is* the batch path
+with a batch of one.
 
-Since the facade redesign, applications should reach this backend through
-:class:`repro.api.ArrayTrackService`; the server's own
-:meth:`~ArrayTrackServer.localize_spectra` is a deprecated shim over the
-identical internal path.
+Applications reach this backend through :class:`repro.api.ArrayTrackService`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import TypeVar
 
 from repro.errors import ConfigurationError, EstimationError
 from repro.ap.access_point import ArrayTrackAP
@@ -41,6 +38,8 @@ from repro.core.spectrum import AoASpectrum
 from repro.core.suppression import MultipathSuppressor
 
 __all__ = ["ServerConfig", "ArrayTrackServer"]
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -57,9 +56,10 @@ class ServerConfig:
     suppressor:
         Parameters of the multipath suppression step.
     measure_processing_time:
-        Record wall-clock processing time of each fix (used by the latency
-        experiment to substitute the measured Python time for the paper's
-        Matlab figure).
+        Record the wall-clock time of each localization call, suppression
+        and synthesis included (used by the latency experiment to
+        substitute the measured Python time for the paper's Matlab
+        figure).
     """
 
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
@@ -109,19 +109,22 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     # Spectra-level API
     # ------------------------------------------------------------------
-    def localize_spectra(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
-                         client_id: str = "") -> LocationEstimate:
-        """Deprecated: use :meth:`repro.api.ArrayTrackService.localize`.
+    def _timed(self, run: Callable[[], _T]) -> _T:
+        """Run one localization call, recording its wall-clock duration.
 
-        This entry point predates the service facade and remains as a thin
-        shim over the same internal path the facade uses, so its results
-        are bit-for-bit identical to ``ArrayTrackService.localize``.
+        The single measurement site behind :attr:`last_processing_s`:
+        every entry point wraps its whole suppression + synthesis work
+        here, and so does the service facade around a sharded or
+        streaming pass.  Nested calls each record, and the outermost
+        finishes last, so the recorded time always covers the whole
+        outer call.
         """
-        warnings.warn(
-            "ArrayTrackServer.localize_spectra() is deprecated; use "
-            "repro.api.ArrayTrackService.localize() (see docs/api.md)",
-            DeprecationWarning, stacklevel=2)
-        return self._localize_spectra(spectra_by_ap, client_id)
+        if not self.config.measure_processing_time:
+            return run()
+        start = time.perf_counter()
+        result = run()
+        self._last_processing_s = time.perf_counter() - start
+        return result
 
     def _localize_spectra(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
                           client_id: str = "") -> LocationEstimate:
@@ -133,14 +136,13 @@ class ArrayTrackServer:
         spectrum passes through unchanged (step 1 of the Figure 8
         algorithm).
         """
-        processed = self._process_per_ap(spectra_by_ap)
-        if not processed:
-            raise EstimationError("no AoA spectra supplied for localization")
-        start = time.perf_counter() if self.config.measure_processing_time else None
-        estimate = self.estimator.estimate(processed, client_id=client_id)
-        if start is not None:
-            self._last_processing_s = time.perf_counter() - start
-        return estimate
+        def run() -> LocationEstimate:
+            processed = self._process_per_ap(spectra_by_ap)
+            if not processed:
+                raise EstimationError("no AoA spectra supplied for localization")
+            return self.estimator.estimate(processed, client_id=client_id)
+
+        return self._timed(run)
 
     def localize_batch(self,
                        spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
@@ -150,15 +152,15 @@ class ArrayTrackServer:
         Parameters
         ----------
         spectra_by_client:
-            For every client id, the same per-AP spectra mapping that
-            :meth:`localize_spectra` takes.  Multipath suppression runs per
-            client and per AP exactly as in the single-client path.
+            For every client id, a mapping of AP id to that AP's spectra of
+            the client.  Multipath suppression runs per client and per AP
+            exactly as in the single-client path.
 
         Returns
         -------
         dict
             One :class:`~repro.core.localizer.LocationEstimate` per client,
-            identical to calling :meth:`localize_spectra` per client but
+            identical to localizing each client alone but
             sharing the bearing-grid work and the stacked Equation 8
             evaluation across the whole batch.
 
@@ -169,9 +171,9 @@ class ArrayTrackServer:
         """
         if not spectra_by_client:
             raise EstimationError("no clients supplied for batch localization")
-        return self.synthesize_batch(
+        return self._timed(lambda: self.synthesize_batch(
             {client_id: self._process_per_ap(spectra_by_ap)
-             for client_id, spectra_by_ap in spectra_by_client.items()})
+             for client_id, spectra_by_ap in spectra_by_client.items()}))
 
     def synthesize_batch(self,
                          spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
@@ -205,11 +207,8 @@ class ArrayTrackServer:
                 raise EstimationError(
                     f"no AoA spectra supplied for client {client_id!r}")
             processed_by_client[client_id] = processed
-        start = time.perf_counter() if self.config.measure_processing_time else None
-        estimates = self.estimator.estimate_batch(processed_by_client)
-        if start is not None:
-            self._last_processing_s = time.perf_counter() - start
-        return estimates
+        return self._timed(
+            lambda: self.estimator.estimate_batch(processed_by_client))
 
     def _process_per_ap(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]]
                         ) -> list[AoASpectrum]:
@@ -305,18 +304,8 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     @property
     def last_processing_s(self) -> float | None:
-        """Wall-clock duration of the most recent synthesis step, if measured."""
+        """Wall-clock duration of the most recent localization call, if measured."""
         return self._last_processing_s
-
-    def record_processing_time(self, seconds: float) -> None:
-        """Overwrite the measured processing time of the most recent fix.
-
-        Used by the service facade's sharded execution: each shard's own
-        measurement covers only that shard, so after a parallel pass the
-        facade records the wall-clock duration of the *whole* batch here,
-        keeping :meth:`latency_breakdown` meaningful.
-        """
-        self._last_processing_s = float(seconds)
 
     def latency_breakdown(self, payload_bytes: int = 1500,
                           bitrate_mbps: float = 54.0,

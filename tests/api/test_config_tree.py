@@ -1,13 +1,17 @@
 """Tests for the ArrayTrackConfig tree: round-tripping, validation, overrides."""
 
+import numpy as np
 import pytest
 
-from repro.api import (ArrayTrackConfig, ResilienceConfig, SessionConfig,
-                       TrackerConfig, default_server_config)
+from repro.api import (ArrayTrackConfig, ArrayTrackService, ResilienceConfig,
+                       SessionConfig, TrackerConfig, default_server_config)
+from repro.channel import MultipathChannel
 from repro.constants import DEFAULT_SPECTRUM_FLOOR
 from repro.core import LocalizerConfig, SpectrumConfig, SuppressorConfig
 from repro.errors import ConfigurationError
+from repro.geometry import Point2D
 from repro.server import ServerConfig
+from repro.testing import reference
 
 
 class TestRoundTrip:
@@ -200,6 +204,49 @@ class TestOverrides:
                 {"ARRAYTRACK_SERVER__LOCALIZER__NUM_SEEDS": "0"})
 
 
+#: Options this config tree no longer has, as (dotted path, value, match).
+#: The serial-reference knobs are gone -- the oracles live in
+#: repro.testing.reference, selectable by no config path -- and so is the
+#: thread backend.
+REMOVED_OPTIONS = [
+    ("ap.spectrum.vectorized_frontend", False, "vectorized_frontend"),
+    ("server.localizer.vectorized_refinement", False,
+     "vectorized_refinement"),
+    ("parallel.backend", "thread", "backend"),
+]
+_REMOVED_IDS = [path for path, _, _ in REMOVED_OPTIONS]
+
+
+def _nested(path, value):
+    """``"a.b.c", v`` -> ``{"a": {"b": {"c": v}}}``."""
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value
+
+
+class TestRemovedOptions:
+    """Every route into the tree rejects the removed options."""
+
+    @pytest.mark.parametrize("path,value,match", REMOVED_OPTIONS,
+                             ids=_REMOVED_IDS)
+    def test_from_dict_rejects(self, path, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ArrayTrackConfig.from_dict(_nested(path, value))
+
+    @pytest.mark.parametrize("path,value,match", REMOVED_OPTIONS,
+                             ids=_REMOVED_IDS)
+    def test_dotted_update_rejects(self, path, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ArrayTrackConfig().updated({path: value})
+
+    @pytest.mark.parametrize("path,value,match", REMOVED_OPTIONS,
+                             ids=_REMOVED_IDS)
+    def test_env_override_rejects(self, path, value, match):
+        name = "ARRAYTRACK_" + path.upper().replace(".", "__")
+        with pytest.raises(ConfigurationError, match=match):
+            ArrayTrackConfig().with_env_overrides({name: str(value).lower()})
+
+
 class TestSessionConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"emit_every_frames": -1},
@@ -325,20 +372,20 @@ class TestSuppressorAlias:
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
         data = config.to_dict()
         assert data["ap"]["spectrum"]["method"] == "music"
-        assert data["ap"]["spectrum"]["vectorized_frontend"] is True
         restored = ArrayTrackConfig.from_dict(data)
         assert restored.ap.spectrum == SpectrumConfig()
 
-    def test_vectorized_frontend_configurable_through_the_tree(self):
-        config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0)).updated(
-            {"ap.spectrum.vectorized_frontend": False})
-        assert config.ap.spectrum.vectorized_frontend is False
-        restored = ArrayTrackConfig.from_json(config.to_json())
-        assert restored.ap.spectrum.vectorized_frontend is False
-        with pytest.raises(ConfigurationError,
-                           match=r"config\.ap\.spectrum"):
-            ArrayTrackConfig.from_dict(
-                {"ap": {"spectrum": {"vectorized_frontend": "yes"}}})
-        overridden = config.with_env_overrides(
-            {"ARRAYTRACK_AP__SPECTRUM__VECTORIZED_FRONTEND": "true"})
-        assert overridden.ap.spectrum.vectorized_frontend is True
+    def test_tree_built_ap_frontend_matches_the_serial_oracle(self):
+        service = ArrayTrackService(ArrayTrackConfig(
+            bounds=(0.0, 0.0, 5.0, 5.0)).updated(
+            {"ap.spectrum.angle_resolution_deg": 1.0}))
+        ap = service.build_ap("ap0", Point2D(0.0, 0.0),
+                              rng=np.random.default_rng(3))
+        rng = np.random.default_rng(9)
+        entries = [ap.overhear(MultipathChannel.from_bearings(
+            [float(rng.uniform(10.0, 170.0))], [1.0], client_id="c"),
+            timestamp_s=0.01 * index, rng=rng) for index in range(4)]
+        for batched, serial in zip(ap.compute_spectra(entries),
+                                   reference.compute_spectra(ap, entries),
+                                   strict=True):
+            assert np.array_equal(batched.power, serial.power)

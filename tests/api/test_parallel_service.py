@@ -1,21 +1,25 @@
 """Tests for the sharded parallel execution layer (the ``parallel`` section).
 
-The contract under test: with ``parallel.backend="thread"`` every batched
-entry point (`localize_many`, `localize_buffered`, `tick`/`flush`) produces
-bit-for-bit the same fixes, in the same client order, as the serial path --
-sharding only changes *where* each shard's synthesis runs.
+The config section, the worker pool's lifecycle and failure modes, and the
+processing-time measurement.  The cross-backend bit-equality matrix of every
+batched entry point lives in ``test_process_backend.py``.
 """
+
+import time
 
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.api import ArrayTrackConfig, ArrayTrackService, ParallelConfig
+from repro.api import (ArrayTrackConfig, ArrayTrackService, ParallelConfig,
+                       SessionConfig)
 from repro.api._procpool import live_segments
 from repro.channel import MultipathChannel
-from repro.core import AoASpectrum, default_angle_grid
+from repro.core import (AoASpectrum, LocalizerConfig, MultipathSuppressor,
+                        default_angle_grid)
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
+from repro.server import ServerConfig
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
 AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
@@ -70,7 +74,7 @@ class TestParallelConfigSection:
     def test_round_trips_with_non_default_values(self):
         config = ArrayTrackConfig(
             bounds=BOUNDS,
-            parallel=ParallelConfig(backend="thread", num_workers=2,
+            parallel=ParallelConfig(backend="process", num_workers=2,
                                     min_clients_per_worker=4))
         restored = ArrayTrackConfig.from_dict(config.to_dict())
         assert restored == config
@@ -79,15 +83,17 @@ class TestParallelConfigSection:
 
     def test_env_override_reaches_parallel_section(self):
         config = ArrayTrackConfig(bounds=BOUNDS).with_env_overrides({
-            "ARRAYTRACK_PARALLEL__BACKEND": "thread",
+            "ARRAYTRACK_PARALLEL__BACKEND": "process",
             "ARRAYTRACK_PARALLEL__NUM_WORKERS": "3",
         })
-        assert config.parallel.backend == "thread"
+        assert config.parallel.backend == "process"
         assert config.parallel.num_workers == 3
 
     @pytest.mark.parametrize("kwargs", [
         {"backend": "fork"},
         {"backend": ""},
+        # The thread backend was removed: it never beat serial by 1.2x.
+        {"backend": "thread"},
         {"num_workers": 0},
         {"num_workers": 2.5},
         # bool is an int subclass; ARRAYTRACK_PARALLEL__NUM_WORKERS=true
@@ -106,35 +112,10 @@ class TestParallelConfigSection:
 
 
 class TestShardedLocalizeMany:
-    def test_bit_identical_to_serial_and_order_preserving(self):
-        clients = _clients(24)
-        serial = _service().localize_many(clients)
-        with _service(parallel={"backend": "thread", "num_workers": 4,
-                                "min_clients_per_worker": 2}) as sharded_svc:
-            sharded = sharded_svc.localize_many(clients)
-        _assert_identical(sharded, serial)
-
-    def test_small_batches_stay_serial(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 4,
-                                     "min_clients_per_worker": 8})
-        # 9 clients < 2 shards x 8 -> no fan-out, and no pool is created.
-        fixes = service.localize_many(_clients(9))
-        assert len(fixes) == 9
-        assert service._executor is None
-
-    def test_pool_is_lazy_and_close_is_idempotent(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
-        assert service._executor is None
-        service.localize_many(_clients(8))
-        assert service._executor is not None
-        service.close()
-        assert service._executor is None
-        service.close()
-
     def test_double_close_is_idempotent_for_process_backend(self):
         service = _service(parallel={"backend": "process", "num_workers": 2,
                                      "min_clients_per_worker": 2})
+        assert service._procpool is None
         service.localize_many(_clients(6))
         assert service._procpool is not None
         service.close()
@@ -142,7 +123,7 @@ class TestShardedLocalizeMany:
         service.close()
         assert live_segments() == frozenset()
 
-    @pytest.mark.parametrize("backend", ["none", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["none", "process"])
     def test_use_after_close_raises_clear_error(self, backend):
         parallel = None if backend == "none" else {
             "backend": backend, "num_workers": 2,
@@ -159,7 +140,7 @@ class TestShardedLocalizeMany:
             service.localize_buffered(["c0"])
 
     def test_measured_processing_time_covers_whole_pass(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
+        service = _service(parallel={"backend": "process", "num_workers": 2,
                                      "min_clients_per_worker": 2},
                            **{"server.measure_processing_time": True})
         service.localize_many(_clients(8))
@@ -168,75 +149,90 @@ class TestShardedLocalizeMany:
         service.close()
 
 
-class TestShardedStreaming:
-    def _ingest(self, service, count):
-        rng = np.random.default_rng(11)
-        for index in range(count):
-            target = Point2D(rng.uniform(2, 18), rng.uniform(2, 8))
-            for i, position in enumerate(AP_POSITIONS):
-                for frame in range(2):
-                    service.ingest(
-                        f"ap{i}",
-                        _spectrum_towards(position, target,
-                                          timestamp_s=frame * 0.01),
-                        client_id=f"c{index}",
-                        timestamp_s=frame * 0.01)
+class _SleepySuppressor(MultipathSuppressor):
+    """A suppressor that takes at least 50 ms per call."""
 
-    @pytest.mark.parametrize("suppress", [False, True])
-    def test_tick_bit_identical_to_serial(self, suppress):
-        overrides = {"session.emit_every_frames": 1,
-                     "session.suppress_multipath": suppress}
-        serial_svc = _service(**overrides)
-        sharded_svc = _service(parallel={"backend": "thread",
-                                         "num_workers": 4,
-                                         "min_clients_per_worker": 2},
-                               **overrides)
-        self._ingest(serial_svc, 12)
-        self._ingest(sharded_svc, 12)
-        serial = serial_svc.tick()
-        sharded = sharded_svc.tick()
-        _assert_identical(sharded, serial)
-        # Fixes landed in the tracker and the sessions drained, both paths.
-        for service in (serial_svc, sharded_svc):
-            assert all(session.pending_frames == 0
-                       for session in service.sessions.values())
-            assert all(service.latest_fix(key) is not None for key in sharded)
-        sharded_svc.close()
-
-    def test_flush_uses_sharding_too(self):
-        overrides = {"session.emit_every_frames": 0}
-        serial_svc = _service(**overrides)
-        sharded_svc = _service(parallel={"backend": "thread",
-                                         "num_workers": 2,
-                                         "min_clients_per_worker": 2},
-                               **overrides)
-        self._ingest(serial_svc, 8)
-        self._ingest(sharded_svc, 8)
-        _assert_identical(sharded_svc.flush(), serial_svc.flush())
-        sharded_svc.close()
+    def process(self, spectra, timestamps=None):
+        time.sleep(0.05)
+        return super().process(spectra, timestamps=timestamps)
 
 
-class TestShardedBuffered:
-    def test_localize_buffered_matches_serial(self):
-        def build(parallel):
-            service = _service(parallel=parallel)
-            for index, position in enumerate(AP_POSITIONS):
-                ap = service.build_ap(f"ap{index}", position,
-                                      rng=np.random.default_rng(index))
-                for client in range(6):
-                    channel = MultipathChannel.from_bearings(
-                        [30.0 + 15.0 * client], [1.0], direct_index=0,
-                        client_id=f"c{client}", ap_id=ap.ap_id)
-                    ap.overhear(channel, timestamp_s=0.0)
-            return service
+class TestProcessingTime:
+    """``last_processing_s`` covers suppression + synthesis on every path."""
 
-        client_ids = [f"c{i}" for i in range(6)]
-        serial = build(None).localize_buffered(client_ids)
-        sharded_svc = build({"backend": "thread", "num_workers": 3,
-                             "min_clients_per_worker": 1})
-        sharded = sharded_svc.localize_buffered(client_ids)
-        _assert_identical(sharded, serial)
-        sharded_svc.close()
+    @staticmethod
+    def _sleepy_service(**session):
+        """A serial service whose batch and streaming suppressors sleep."""
+        config = ArrayTrackConfig(
+            bounds=BOUNDS,
+            server=ServerConfig(
+                localizer=LocalizerConfig(grid_resolution_m=0.5),
+                suppressor=_SleepySuppressor(),
+                measure_processing_time=True),
+            suppressor=_SleepySuppressor(),
+            session=SessionConfig(**session))
+        return ArrayTrackService(config)
+
+    @staticmethod
+    def _two_frame_clients(count):
+        # Two frames per AP, so the Section 2.4 suppressor runs for each.
+        return {client_id: {ap_id: spectra * 2
+                            for ap_id, spectra in per_ap.items()}
+                for client_id, per_ap in _clients(count).items()}
+
+    def test_serial_pass_includes_suppression(self):
+        service = self._sleepy_service()
+        service.localize_many(self._two_frame_clients(2))
+        assert service.last_processing_s >= 0.05
+
+    @staticmethod
+    def _localize(service):
+        service.localize(TestProcessingTime._two_frame_clients(1)["c0"], "c0")
+
+    @staticmethod
+    def _localize_buffered(service):
+        for index, position in enumerate(AP_POSITIONS):
+            ap = service.build_ap(f"ap{index}", position,
+                                  rng=np.random.default_rng(index))
+            for frame in range(2):
+                ap.overhear(MultipathChannel.from_bearings(
+                    [40.0 + 30.0 * index], [1.0], direct_index=0,
+                    client_id="c0", ap_id=ap.ap_id),
+                    timestamp_s=0.01 * frame)
+        service.localize_buffered(["c0"])
+
+    @staticmethod
+    def _ingest_two_frames(service):
+        for client_id, per_ap in TestProcessingTime._two_frame_clients(
+                2).items():
+            for ap_id, spectra in per_ap.items():
+                for frame, spectrum in enumerate(spectra):
+                    service.ingest(ap_id, spectrum, client_id=client_id,
+                                   timestamp_s=0.01 * frame)
+
+    @staticmethod
+    def _tick(service):
+        TestProcessingTime._ingest_two_frames(service)
+        assert service.tick()
+
+    @staticmethod
+    def _flush(service):
+        TestProcessingTime._ingest_two_frames(service)
+        assert service.flush()
+
+    @pytest.mark.parametrize("entry,session", [
+        ("_localize", {}),
+        ("_localize_buffered", {}),
+        ("_tick", {"emit_every_frames": 2, "suppress_multipath": False}),
+        ("_tick", {"emit_every_frames": 2, "suppress_multipath": True}),
+        ("_flush", {"emit_every_frames": 0}),
+    ], ids=["localize", "localize_buffered", "tick", "tick_suppressed",
+            "flush"])
+    def test_every_serial_entry_point_includes_suppression(self, entry,
+                                                           session):
+        service = self._sleepy_service(**session)
+        getattr(self, entry)(service)
+        assert service.last_processing_s >= 0.05
 
 
 class TestProcessPoolFailureModes:

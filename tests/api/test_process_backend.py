@@ -1,8 +1,8 @@
 """Cross-backend equality matrix for the process parallel backend.
 
 The contract under test: ``parallel.backend="process"`` produces bit-for-bit
-the same fixes, in the same client order, as both the serial path and the
-thread backend, for every batched entry point (``localize_many``,
+the same fixes, in the same client order, as the serial path, for every
+batched entry point (``localize_many``,
 ``localize_buffered``, ``tick``, ``flush``) at mixed shard sizes --
 including batches below ``2 * min_clients_per_worker``, where the process
 service silently stays serial.  And because the backend moves spectra
@@ -106,11 +106,8 @@ class TestLocalizeManyMatrix:
     def test_equality_across_backends(self, process_service, count):
         clients = _clients(count, seed=100 + count)
         serial = ArrayTrackService(_config("none")).localize_many(clients)
-        with ArrayTrackService(_config("thread")) as thread_service:
-            threaded = thread_service.localize_many(clients)
         processed = process_service.localize_many(clients)
         _assert_no_segments()
-        _assert_identical(threaded, serial)
         _assert_identical(processed, serial)
 
     def test_small_batch_never_spawns_workers(self):
@@ -138,12 +135,9 @@ class TestLocalizeBufferedMatrix:
     def test_equality_across_backends(self):
         client_ids = [f"c{i}" for i in range(6)]
         serial = self._build("none").localize_buffered(client_ids)
-        with self._build("thread") as thread_service:
-            threaded = thread_service.localize_buffered(client_ids)
         with self._build("process") as process_service:
             processed = process_service.localize_buffered(client_ids)
             _assert_no_segments()
-        _assert_identical(threaded, serial)
         _assert_identical(processed, serial)
 
 
@@ -168,7 +162,7 @@ class TestStreamingMatrix:
         overrides = {"session.emit_every_frames": 1,
                      "session.suppress_multipath": suppress}
         results = {}
-        for backend in ("none", "thread", "process"):
+        for backend in ("none", "process"):
             with ArrayTrackService(_config(backend, **overrides)) as service:
                 self._ingest(service, 10)
                 results[backend] = service.tick()
@@ -177,18 +171,16 @@ class TestStreamingMatrix:
                            for session in service.sessions.values())
                 assert all(service.latest_fix(key) is not None
                            for key in results[backend])
-        _assert_identical(results["thread"], results["none"])
         _assert_identical(results["process"], results["none"])
 
     def test_flush_equality_across_backends(self):
         overrides = {"session.emit_every_frames": 0}
         results = {}
-        for backend in ("none", "thread", "process"):
+        for backend in ("none", "process"):
             with ArrayTrackService(_config(backend, **overrides)) as service:
                 self._ingest(service, 8, seed=23)
                 results[backend] = service.flush()
                 _assert_no_segments()
-        _assert_identical(results["thread"], results["none"])
         _assert_identical(results["process"], results["none"])
 
 

@@ -2,8 +2,8 @@
 
 The contract under test is ISSUE 10's acceptance criterion: an injected
 worker crash mid-batch recovers via retry with bit-identical results and
-zero leaked shm segments, the circuit breaker degrades process -> thread ->
-serial and recovers half-open, and ingest sheds/rejects under pressure --
+zero leaked shm segments, the circuit breaker degrades process -> serial and
+recovers half-open, and ingest sheds/rejects under pressure --
 all deterministically, via :mod:`repro.testing.faults`.
 """
 
@@ -135,10 +135,10 @@ class TestWorkerCrashRecovery:
 
 
 # ----------------------------------------------------------------------
-# The degradation ladder: process -> thread -> serial and back (half-open)
+# The degradation ladder: process -> serial and back (half-open)
 # ----------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_exhausted_retries_degrade_to_thread_then_probe_back(
+    def test_exhausted_retries_degrade_to_serial_then_probe_back(
             self, serial_fixes):
         # Kill every worker task, leave no retry budget, and trip the
         # breaker on the first failure; recovery window held open wide.
@@ -148,23 +148,23 @@ class TestDegradationLadder:
                "resilience.breaker_threshold": 1,
                "resilience.breaker_recovery_s": 1000.0})
         with service:
-            # The batch is served anyway -- by the thread rung -- and is
+            # The batch is served anyway -- by the serial rung -- and is
             # still bit-identical.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             health = service.health()
-            assert health["backend"]["active"] == "thread"
+            assert health["backend"]["active"] == "serial"
             assert health["breaker"]["state"] == "open"
-            assert health["fallbacks"]["served_by"] == {"thread": 1}
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
             assert "PoolSupervisionError" in health["fallbacks"]["last_error"]
             assert service._procpool.stats.supervision_failures == 1
-            # While the breaker is open, batches enter at thread directly:
+            # While the breaker is open, batches enter at serial directly:
             # no doomed process attempt, no further supervision failures.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             assert service._procpool.stats.supervision_failures == 1
-            # Entering at thread is not a fallback (nothing fell mid-call).
-            assert service.health()["fallbacks"]["served_by"] == {"thread": 1}
+            # Entering at serial is not a fallback (nothing fell mid-call).
+            assert service.health()["fallbacks"]["served_by"] == {"serial": 1}
             # Heal the pool, force the recovery window open: the next
             # batch half-open-probes the process rung and re-closes.
             faults.deactivate()
@@ -176,30 +176,20 @@ class TestDegradationLadder:
             assert health["breaker"]["state"] == "closed"
             assert health["backend"]["active"] == "process"
 
-    def test_thread_fault_degrades_to_serial(self, serial_fixes):
-        faults.activate(faults.FaultSpec(kind="thread-shard-failure",
+    def test_shm_allocation_failure_degrades_to_serial(self, serial_fixes):
+        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
                                          times=1))
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
-        with service:
+        with _process_service() as service:
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             health = service.health()
             assert health["fallbacks"]["served_by"] == {"serial": 1}
             # One failure is below the default threshold: still closed.
             assert health["breaker"]["state"] == "closed"
-            # Budget spent: the thread rung serves the next batch itself.
+            # Budget spent: the process rung serves the next batch itself.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             assert service.health()["fallbacks"]["served_by"] == {"serial": 1}
-
-    def test_shm_allocation_failure_degrades_to_thread(self, serial_fixes):
-        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
-                                         times=1))
-        with _process_service() as service:
-            _assert_identical(service.localize_many(_clients(6)),
-                              serial_fixes)
-            assert service.health()["fallbacks"]["served_by"] == {"thread": 1}
 
     def test_breaker_disabled_propagates_the_transient_error(self):
         faults.activate(faults.FaultSpec(kind="kill-worker-mid-shard"))
@@ -212,17 +202,17 @@ class TestDegradationLadder:
 
 
 class TestCircuitBreakerUnit:
-    def _breaker(self, threshold=2, recovery_s=10.0, enabled=True):
+    def _breaker(self, threshold=2, recovery_s=10.0, enabled=True,
+                 ladder=None):
         state = {"now": 0.0}
-        breaker = CircuitBreaker(backend_ladder("process"),
+        breaker = CircuitBreaker(ladder or backend_ladder("process"),
                                  threshold=threshold, recovery_s=recovery_s,
                                  enabled=enabled,
                                  clock=lambda: state["now"])
         return breaker, state
 
     def test_ladders(self):
-        assert backend_ladder("process") == ("process", "thread", "serial")
-        assert backend_ladder("thread") == ("thread", "serial")
+        assert backend_ladder("process") == ("process", "serial")
         assert backend_ladder("none") == ("serial",)
 
     def test_opens_after_threshold_and_probes_after_recovery(self):
@@ -254,16 +244,18 @@ class TestCircuitBreakerUnit:
         assert breaker.entry_index() == 0
 
     def test_degradation_cascades_to_serial_and_recovers_stepwise(self):
-        breaker, clock = self._breaker()
+        # The breaker is generic over the ladder; a three-rung one shows
+        # the stepwise cascade and recovery.
+        breaker, clock = self._breaker(ladder=("fast", "middle", "serial"))
         breaker.record_failure(0)
-        breaker.record_failure(0)            # -> thread
+        breaker.record_failure(0)            # -> middle
         breaker.record_failure(1)
         breaker.record_failure(1)            # -> serial
         assert breaker.level == 2 and breaker.entry_index() == 2
         clock["now"] = 10.0
-        assert breaker.entry_index() == 1    # probe thread first
+        assert breaker.entry_index() == 1    # probe middle first
         breaker.record_success(1)
-        assert breaker.level == 1            # thread restored, still open
+        assert breaker.level == 1            # middle restored, still open
         clock["now"] = 20.0
         assert breaker.entry_index() == 0    # then probe process
         breaker.record_success(0)
@@ -289,8 +281,8 @@ class TestCircuitBreakerUnit:
         breaker.record_failure(0)
         snapshot = json.loads(json.dumps(breaker.snapshot()))
         assert snapshot["state"] == "closed"
-        assert snapshot["ladder"] == ["process", "thread", "serial"]
-        assert snapshot["failures"] == [1, 0, 0]
+        assert snapshot["ladder"] == ["process", "serial"]
+        assert snapshot["failures"] == [1, 0]
 
 
 # ----------------------------------------------------------------------

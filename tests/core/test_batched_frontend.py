@@ -1,10 +1,11 @@
 """Tests for the batched Section 2.3 frontend (SpectrumComputer.compute_many).
 
 House rule for every vectorized path in this repo: the batched frontend must
-be *bit-for-bit* identical to the serial per-frame reference, across every
-estimator method, smoothing setting, forward-backward averaging, forced and
-automatic source counts, and with symmetry removal on or off.  These tests
-randomize the capture conditions and assert exact array equality.
+be *bit-for-bit* identical to the serial per-frame oracle in
+:mod:`repro.testing.reference`, across every estimator method, smoothing
+setting, forward-backward averaging, forced and automatic source counts, and
+with symmetry removal on or off.  These tests randomize the capture
+conditions and assert exact array equality.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.channel import MultipathChannel
 from repro.core import SpectrumComputer, SpectrumConfig
 from repro.errors import EstimationError
 from repro.geometry import Point2D
+from repro.testing import reference
 
 
 def _ap(spectrum_config, use_symmetry=False, num_antennas=8, seed=3,
@@ -70,8 +72,8 @@ class TestComputeManyEquality:
         entries = _capture_frames(ap, 7, rng)
         computer = ap._spectrum_computer
         snapshots = [entry.snapshots for entry in entries]
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many(computer, snapshots, ap.array,
+                                        ap.linear_indices)
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
@@ -88,8 +90,8 @@ class TestComputeManyEquality:
         entries = _capture_frames(ap, 6, rng)
         computer = ap._spectrum_computer
         snapshots = [entry.snapshots for entry in entries]
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many(computer, snapshots, ap.array,
+                                        ap.linear_indices)
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
@@ -102,8 +104,8 @@ class TestComputeManyEquality:
         snapshots = [entry.snapshots
                      for entry in _capture_frames(ap, 5, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many(computer, snapshots, ap.array,
+                                        ap.linear_indices)
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
@@ -116,8 +118,8 @@ class TestComputeManyEquality:
         rng = np.random.default_rng(31)
         snapshots = [entry.snapshots for entry in _capture_frames(ap, 3, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many(computer, snapshots, ap.array,
+                                        ap.linear_indices)
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
@@ -131,8 +133,8 @@ class TestComputeManyEquality:
         snapshots = [entry.snapshots
                      for entry in _capture_frames(ap, 10, rng, snr_db=-3.0)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many(computer, snapshots, ap.array,
+                                        ap.linear_indices)
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
@@ -145,9 +147,8 @@ class TestComputeManyWithSymmetry:
         rng = np.random.default_rng(13)
         snapshots = [entry.snapshots for entry in _capture_frames(ap, 6, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute_with_symmetry(item, ap.array,
-                                                 ap.linear_indices)
-                  for item in snapshots]
+        serial = reference.compute_many_with_symmetry(
+            computer, snapshots, ap.array, ap.linear_indices)
         batched = computer.compute_many_with_symmetry(snapshots, ap.array,
                                                       ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -157,27 +158,9 @@ class TestComputeManyWithSymmetry:
         ap = _ap(config, use_symmetry=True, apply_phase_offsets=True, seed=29)
         rng = np.random.default_rng(29)
         entries = _capture_frames(ap, 5, rng)
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = reference.compute_spectra(ap, entries)
         batched = ap.compute_spectra(entries)
         _assert_spectra_equal(serial, batched)
-
-
-class TestSerialReferenceGate:
-    def test_disabled_frontend_runs_serial_path(self):
-        config = SpectrumConfig(angle_resolution_deg=1.0,
-                                vectorized_frontend=False)
-        ap = _ap(config)
-        rng = np.random.default_rng(7)
-        snapshots = [entry.snapshots for entry in _capture_frames(ap, 4, rng)]
-        computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
-        batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
-        _assert_spectra_equal(serial, batched)
-
-    def test_vectorized_frontend_must_be_boolean(self):
-        with pytest.raises(EstimationError):
-            SpectrumConfig(vectorized_frontend="yes")
 
 
 class TestBatchValidation:
@@ -213,7 +196,7 @@ class TestAccessPointBatching:
         ap = _ap(SpectrumConfig(angle_resolution_deg=1.0), use_symmetry=True)
         rng = np.random.default_rng(37)
         entries = _capture_frames(ap, 6, rng)
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = reference.compute_spectra(ap, entries)
         _assert_spectra_equal(serial, ap.compute_spectra(entries))
         assert ap.compute_spectra([]) == []
 
@@ -225,7 +208,7 @@ class TestAccessPointBatching:
         entries = []
         for count in (10, 4, 10, 4, 7):
             entries.extend(_capture_frames(ap, 1, rng, num_snapshots=count))
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = reference.compute_spectra(ap, entries)
         _assert_spectra_equal(serial, ap.compute_spectra(entries))
 
     def test_spectra_for_client_uses_batched_path(self):
@@ -233,8 +216,8 @@ class TestAccessPointBatching:
         rng = np.random.default_rng(47)
         _capture_frames(ap, 4, rng, client_id="alice")
         _capture_frames(ap, 3, rng, client_id="bob")
-        serial = [ap.compute_spectrum(entry)
-                  for entry in ap.buffer.entries_for_client("alice")]
+        serial = reference.compute_spectra(
+            ap, ap.buffer.entries_for_client("alice"))
         _assert_spectra_equal(serial, ap.spectra_for_client("alice"))
 
     def test_spectra_for_clients_splits_one_batch_per_client(self):
@@ -247,8 +230,8 @@ class TestAccessPointBatching:
         assert len(result["alice"]) == 3
         assert len(result["bob"]) == 2
         for client_id in ("alice", "bob"):
-            serial = [ap.compute_spectrum(entry)
-                      for entry in ap.buffer.entries_for_client(client_id)]
+            serial = reference.compute_spectra(
+                ap, ap.buffer.entries_for_client(client_id))
             _assert_spectra_equal(serial, result[client_id])
             for spectrum in result[client_id]:
                 assert spectrum.client_id == client_id

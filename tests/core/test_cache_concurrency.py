@@ -1,7 +1,7 @@
 """Threaded stress tests for the shared LRU caches (``repro.core.cache``).
 
-The service's thread-sharded execution drives :class:`SteeringCache`,
-:class:`WindowCache` and :class:`BearingGridCache` from worker threads, so
+The process-wide :class:`SteeringCache`, :class:`WindowCache` and
+:class:`BearingGridCache` instances are shared by every caller thread, so
 their get/evict/clear sequences must hold up under real contention -- not
 just under repro-lint's static RPR009 proof.  Each test hammers one cache
 from many threads with a working set larger than ``max_entries`` (so

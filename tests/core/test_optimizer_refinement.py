@@ -6,7 +6,8 @@ bit-for-bit identical results to the serial :func:`hill_climb` /
 same evaluation-budget accounting, same first-seed-wins selection.  These
 tests pin down the edge cases that make that promise meaningful (budget
 exhausted mid-neighbour-scan, plateaus, ties) on both implementations, and
-assert end-to-end equality through :class:`repro.core.batch.BatchLocalizer`.
+assert end-to-end equality of :class:`repro.core.batch.BatchLocalizer`
+against the per-client serial oracle in :mod:`repro.testing.reference`.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.optimizer import hill_climb, refine_from_seeds, refine_many
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D, bearing_deg
+from repro.testing import reference
 
 
 def _batch_adapter(functions):
@@ -201,7 +203,7 @@ def _synthetic_clients(count, ragged=False, seed=7):
 
 
 class TestBatchLocalizerEquality:
-    """End to end: vectorized_refinement on/off gives identical estimates."""
+    """End to end: the stacked refinement equals the serial oracle."""
 
     BOUNDS = (0.0, 0.0, 20.0, 12.0)
 
@@ -209,31 +211,22 @@ class TestBatchLocalizerEquality:
     @pytest.mark.parametrize("floor", [0.0, 0.05])
     def test_vectorized_refinement_is_bit_identical(self, ragged, floor):
         clients = _synthetic_clients(10, ragged=ragged)
-        estimates = {}
-        for vectorized in (True, False):
-            config = LocalizerConfig(grid_resolution_m=0.5,
-                                     spectrum_floor=floor,
-                                     vectorized_refinement=vectorized)
-            localizer = BatchLocalizer(self.BOUNDS, config)
-            estimates[vectorized] = localizer.estimate_batch(clients)
+        config = LocalizerConfig(grid_resolution_m=0.5, spectrum_floor=floor)
+        fast = BatchLocalizer(self.BOUNDS, config).estimate_batch(clients)
+        serial = reference.SerialRefinementLocalizer(
+            self.BOUNDS, config).estimate_batch(clients)
         for key in clients:
-            fast, reference = estimates[True][key], estimates[False][key]
-            assert fast.position.x == reference.position.x
-            assert fast.position.y == reference.position.y
-            assert fast.likelihood == reference.likelihood
-            assert fast.num_aps == reference.num_aps
+            assert fast[key].position.x == serial[key].position.x
+            assert fast[key].position.y == serial[key].position.y
+            assert fast[key].likelihood == serial[key].likelihood
+            assert fast[key].num_aps == serial[key].num_aps
 
     def test_vectorized_default_matches_single_client_estimate(self):
         clients = _synthetic_clients(5)
         config = LocalizerConfig(grid_resolution_m=0.5)
-        assert config.vectorized_refinement  # on by default
         localizer = BatchLocalizer(self.BOUNDS, config)
         batched = localizer.estimate_batch(clients)
         for key, spectra in clients.items():
             single = localizer.estimate_batch({key: spectra})[key]
             assert batched[key].position == single.position
             assert batched[key].likelihood == single.likelihood
-
-    def test_vectorized_refinement_flag_is_validated(self):
-        with pytest.raises(EstimationError, match="vectorized_refinement"):
-            LocalizerConfig(vectorized_refinement=1)

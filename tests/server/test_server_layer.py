@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.core import AoASpectrum, LocalizerConfig, LocationEstimate, default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
@@ -30,19 +31,17 @@ AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
 
 
 class TestArrayTrackServer:
-    def _server(self, **config_kwargs):
-        config = ServerConfig(localizer=LocalizerConfig(grid_resolution_m=0.2),
-                              **config_kwargs)
-        return ArrayTrackServer(BOUNDS, config)
+    def _config(self, **config_kwargs):
+        return ServerConfig(localizer=LocalizerConfig(grid_resolution_m=0.2),
+                            **config_kwargs)
 
-    def test_localize_spectra_finds_target(self):
-        server = self._server()
-        spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
-                   for i, p in enumerate(AP_POSITIONS)}
-        estimate = server.localize_spectra(spectra, client_id="c")  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-        assert isinstance(estimate, LocationEstimate)
-        assert estimate.position.distance_to(TARGET) < 0.3
-        assert estimate.client_id == "c"
+    def _server(self, **config_kwargs):
+        return ArrayTrackServer(BOUNDS, self._config(**config_kwargs))
+
+    def _service(self, **config_kwargs):
+        """A facade over the same server config (single-client entry)."""
+        return ArrayTrackService(ArrayTrackConfig(
+            bounds=BOUNDS, server=self._config(**config_kwargs)))
 
     def test_multipath_suppression_removes_unstable_ghost(self):
         """A reflection peak present in only one frame should be suppressed."""
@@ -56,13 +55,13 @@ class TestArrayTrackServer:
             "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
             "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
         }
-        with_suppression = self._server(enable_multipath_suppression=True)
-        estimate = with_suppression.localize_spectra(spectra)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        with_suppression = self._service(enable_multipath_suppression=True)
+        estimate = with_suppression.localize(spectra)
         assert estimate.position.distance_to(TARGET) < 0.3
 
     def test_no_spectra_raises(self):
         with pytest.raises(EstimationError):
-            self._server().localize_spectra({})  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+            self._service().localize({})
 
     def test_localize_client_requires_aps(self):
         with pytest.raises(ConfigurationError):
@@ -72,7 +71,7 @@ class TestArrayTrackServer:
         server = self._server(measure_processing_time=True)
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        server.localize_spectra(spectra)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        server.localize_batch({"c": spectra})
         assert server.last_processing_s is not None
         breakdown = server.latency_breakdown(use_measured_processing=True)
         assert breakdown.processing_s == pytest.approx(server.last_processing_s)
@@ -91,11 +90,11 @@ class TestArrayTrackServer:
         return clients
 
     def test_localize_batch_matches_sequential_loop(self):
-        server = self._server()
+        service = self._service()
         clients = self._batch_of_clients(5)
-        sequential = {client_id: server.localize_spectra(spectra, client_id)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        sequential = {client_id: service.localize(spectra, client_id)
                       for client_id, spectra in clients.items()}
-        batched = server.localize_batch(clients)
+        batched = service.server.localize_batch(clients)
         assert set(batched) == set(clients)
         for client_id in clients:
             assert batched[client_id].position.distance_to(
@@ -114,9 +113,9 @@ class TestArrayTrackServer:
             "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
             "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
         }
-        server = self._server(enable_multipath_suppression=True)
-        single = server.localize_spectra(spectra, "c0")  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-        batched = server.localize_batch({"c0": spectra})
+        service = self._service(enable_multipath_suppression=True)
+        single = service.localize(spectra, "c0")
+        batched = service.server.localize_batch({"c0": spectra})
         assert batched["c0"].position.distance_to(single.position) <= 1e-9
         assert batched["c0"].position.distance_to(TARGET) < 0.3
 
@@ -168,7 +167,7 @@ class TestArrayTrackServer:
 
     def test_localize_batch_ragged_ap_subsets(self):
         """Clients heard by different AP subsets localize in one batch."""
-        server = self._server()
+        service = self._service()
         rng = np.random.default_rng(13)
         clients, sequential = {}, {}
         for index, subset in enumerate(([0, 1, 2], [0, 2], [1, 2])):
@@ -176,9 +175,9 @@ class TestArrayTrackServer:
             spectra = {f"ap{i}": [_spectrum_towards(AP_POSITIONS[i], target)]
                        for i in subset}
             clients[f"c{index}"] = spectra
-        sequential = {cid: server.localize_spectra(s, cid)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        sequential = {cid: service.localize(s, cid)
                       for cid, s in clients.items()}
-        batched = server.localize_batch(clients)
+        batched = service.server.localize_batch(clients)
         for cid in clients:
             assert batched[cid].position.distance_to(
                 sequential[cid].position) <= 1e-9

@@ -1,4 +1,4 @@
-"""Tests for package-level constants, errors and the quickstart helpers."""
+"""Tests for package-level constants and the error hierarchy."""
 
 import math
 
@@ -55,21 +55,3 @@ class TestErrorHierarchy:
             error_class = getattr(errors, name)
             assert issubclass(error_class, errors.ArrayTrackError)
             assert issubclass(error_class, Exception)
-
-
-class TestQuickstart:
-    def test_localize_one_client_returns_estimate_and_truth(self):
-        from repro import quickstart  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-
-        estimate, truth = quickstart.localize_one_client(num_aps=4,
-                                                         grid_resolution_m=0.5)
-        assert estimate.num_aps == 4
-        assert estimate.error_to(truth) < 5.0
-
-    def test_localize_all_clients_returns_per_client_errors(self):
-        from repro import quickstart  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-
-        errors_cm = quickstart.localize_all_clients(num_clients=2,
-                                                    grid_resolution_m=0.5)
-        assert len(errors_cm) == 2
-        assert all(value >= 0.0 for value in errors_cm.values())

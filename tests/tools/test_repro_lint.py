@@ -34,7 +34,6 @@ FIXTURE_PAIRS = {
     "RPR005": ("rpr005_bad.py", "rpr005_good.py", 2),
     "RPR006": ("rpr006_bad.py", "rpr006_good.py", 2),
     "RPR007": ("eval/rpr007_bad.py", "eval/rpr007_good.py", 2),
-    "RPR008": ("rpr008_bad.py", "rpr008_good.py", 2),
     "RPR018": ("rpr018_bad.py", "rpr018_good.py", 2),
 }
 

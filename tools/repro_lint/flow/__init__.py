@@ -70,8 +70,8 @@ FLOW_RULES: list[FlowRule] = [
         "argument submitted to an executor then mutated, or (process "
         "backend) an unpicklable nested-class instance",
         "PR 6: the process backend pickles arguments at submit time; a "
-        "post-submit mutation races the thread backend and ships a moving "
-        "target to the spawn backend",
+        "post-submit mutation races a thread-pool worker and ships a "
+        "moving target to the spawn backend",
         check_executor_escape),
     FlowRule(
         "RPR012", "shm-lifetime-leak",

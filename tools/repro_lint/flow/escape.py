@@ -141,8 +141,8 @@ def check_executor_escape(program: Program, graph: CallGraph,
                                     f"executor but mutated afterwards "
                                     f"(line {mutation.lineno}): the "
                                     f"worker races the mutation (thread "
-                                    f"backend) or pickles a moving "
-                                    f"target (process backend); "
+                                    f"pool) or pickles a moving "
+                                    f"target (process pool); "
                                     f"snapshot it first, e.g. "
                                     f"submit(task, tuple({arg.id}))"))
                             break

@@ -229,9 +229,9 @@ def _check_executor_pickling(context: ModuleContext) -> Iterator[Finding]:
         yield (line, col,
                f"{problem} is submitted to an executor: spawn-based process "
                f"pools pickle the task, and lambdas/closures do not pickle "
-               f"(the thread backend silently masks this until the backend "
-               f"flips to 'process'); submit a module-level function with "
-               f"explicit arguments (see repro.api._procpool._localize_shard)")
+               f"(a thread pool silently masks this); submit a module-level "
+               f"function with explicit arguments (see "
+               f"repro.api._procpool._localize_shard)")
 
 
 # ----------------------------------------------------------------------
@@ -318,64 +318,6 @@ def _check_nan_unguarded_reductions(context: ModuleContext) -> Iterator[Finding]
                f"one poisoned sample silently corrupts every quantile; "
                f"validate with np.isfinite first or go through "
                f"repro.eval.metrics.summarize_errors")
-
-
-# ----------------------------------------------------------------------
-# RPR008 -- deprecated entry points in non-shim code
-# ----------------------------------------------------------------------
-def _issues_deprecation_warning(context: ModuleContext) -> bool:
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = context.resolve_call(node)
-        if dotted is None or not dotted.endswith("warnings.warn"):
-            continue
-        values = list(node.args) + [keyword.value for keyword in node.keywords]
-        for value in values:
-            parts = _chain_parts(value)
-            if parts and parts[-1] == "DeprecationWarning":
-                return True
-    return False
-
-
-def _check_deprecated_entry_points(context: ModuleContext) -> Iterator[Finding]:
-    # Files that themselves raise DeprecationWarning are the shims; the rule
-    # exists to keep *new* code off the deprecated surface, not to flag the
-    # shim implementations.
-    if _issues_deprecation_warning(context):
-        return
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro.quickstart" \
-                        or alias.name.startswith("repro.quickstart."):
-                    line, col = _location(node)
-                    yield (line, col,
-                           "repro.quickstart is a deprecated shim; build an "
-                           "ArrayTrackService from ArrayTrackConfig instead "
-                           "(see docs/api.md)")
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            flagged = module == "repro.quickstart" \
-                or module.startswith("repro.quickstart.")
-            if module == "repro":
-                flagged = flagged or any(alias.name == "quickstart"
-                                         for alias in node.names)
-            if flagged:
-                line, col = _location(node)
-                yield (line, col,
-                       "repro.quickstart is a deprecated shim; build an "
-                       "ArrayTrackService from ArrayTrackConfig instead "
-                       "(see docs/api.md)")
-        elif isinstance(node, ast.Call):
-            parts = _chain_parts(node.func)
-            if parts and parts[-1] == "localize_spectra":
-                line, col = _location(node)
-                yield (line, col,
-                       "ArrayTrackServer.localize_spectra() is a deprecated "
-                       "shim (it warns at runtime); use "
-                       "ArrayTrackService.localize()/localize_many() "
-                       "(see docs/api.md)")
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +444,7 @@ RULES: list[Rule] = [
     Rule("RPR005", "executor-pickling-hazard",
          "lambda/closure/local function submitted to an executor",
          "PR 6: spawn-based process pools pickle the task; closures that "
-         "work on the thread backend crash the process backend",
+         "work on a thread pool crash the process backend",
          _check_executor_pickling),
     Rule("RPR006", "swallowed-exception",
          "bare except, or broad except with a pass-only body",
@@ -514,11 +456,6 @@ RULES: list[Rule] = [
          "PR 4: the old 'errors < 0' guard admitted NaN and silently "
          "poisoned every quantile of the accuracy evaluation",
          _check_nan_unguarded_reductions),
-    Rule("RPR008", "deprecated-entry-point",
-         "deprecated quickstart/localize_spectra surface used in new code",
-         "PR 2: the facade replaced these; new call sites re-grow the "
-         "legacy surface the deprecation is trying to retire",
-         _check_deprecated_entry_points),
     Rule("RPR018", "unbounded-retry-loop",
          "retry loop without a bounded attempt count and backoff",
          "PR 7: pool supervision retries broken/stalled shards; a retry "
