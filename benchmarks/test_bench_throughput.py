@@ -35,14 +35,13 @@ import time
 
 import numpy as np
 
-from repro.api import ArrayTrackConfig, ArrayTrackService
+from repro.api import ArrayTrackConfig, ArrayTrackService, ServerConfig
 from repro.core.batch import BatchLocalizer
 from repro.core.cache import BearingGridCache
 from repro.core.localizer import LocalizerConfig
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.eval import format_table
 from repro.geometry.vector import Point2D, bearing_deg
-from repro.server.backend import ServerConfig
 from repro.testbed.office import OfficeTestbed
 
 from conftest import run_once
@@ -50,6 +49,11 @@ from conftest import run_once
 GRID_RESOLUTION_M = 0.25
 CLIENT_COUNTS = (1, 16, 256)
 REPETITIONS = 3
+#: The cached and batched modes take ~0.2 s at 256 clients, so they get
+#: more samples per mode than the seconds-long naive loop: a median of
+#: three of them read 0.73x batched-vs-cached in one full-suite run on a
+#: 2-CPU host, where isolated runs read 0.94x-1.16x.
+FAST_REPETITIONS = 7
 #: Machine-readable results for cross-PR perf tracking.
 RESULTS_PATH = os.path.join(os.environ.get("BENCH_OUTPUT_DIR", "."),
                             "BENCH_throughput.json")
@@ -98,8 +102,9 @@ def _naive_fix(spectra_by_ap: dict[str, list[AoASpectrum]],
 def measure_throughput() -> dict[int, dict[str, float]]:
     """Return fixes/sec per client count for all three execution modes.
 
-    Each mode is timed ``REPETITIONS`` times and the median kept, so one
-    scheduler hiccup cannot sink (or inflate) a ratio.
+    The naive loop is timed ``REPETITIONS`` times and the cached and
+    batched modes ``FAST_REPETITIONS`` times each, alternating, and the
+    median kept, so one scheduler hiccup cannot sink (or inflate) a ratio.
     """
     testbed = OfficeTestbed()
     rng = np.random.default_rng(2026)
@@ -116,7 +121,7 @@ def measure_throughput() -> dict[int, dict[str, float]]:
             for spectra_by_ap in clients.values():
                 _naive_fix(spectra_by_ap, testbed.bounds)
             naive_s.append(time.perf_counter() - start)
-
+        for _ in range(FAST_REPETITIONS):
             start = time.perf_counter()
             looped = {client_id: service.localize(spectra_by_ap, client_id)
                       for client_id, spectra_by_ap in clients.items()}

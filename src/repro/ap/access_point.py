@@ -288,8 +288,8 @@ class ArrayTrackAP:
 
         All requested clients' buffered frames are stacked into *one*
         batched frontend pass (the per-AP collection step of
-        :meth:`repro.server.backend.ArrayTrackServer.collect_buffered`),
-        then split back per client.  Clients without buffered frames are
+        :meth:`repro.api.ArrayTrackService.localize_buffered`), then split
+        back per client.  Clients without buffered frames are
         omitted.
         """
         entries_by_client = {

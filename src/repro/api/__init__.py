@@ -18,8 +18,8 @@ from repro.api.config import (
     ArrayTrackConfig,
     ParallelConfig,
     ResilienceConfig,
+    ServerConfig,
     SessionConfig,
-    default_server_config,
 )
 from repro.core.suppression import SuppressorConfig
 from repro.server.tracker import TrackerConfig
@@ -42,13 +42,13 @@ __all__ = [
     "EstimatorSpec",
     "ParallelConfig",
     "ResilienceConfig",
+    "ServerConfig",
     "Session",
     "SessionConfig",
     "SuppressorConfig",
     "TrackerConfig",
     "available_estimators",
     "create_baseline",
-    "default_server_config",
     "get_estimator",
     "register_estimator",
 ]

@@ -3,21 +3,23 @@
 Threads would only overlap the GIL-releasing NumPy regions of a shard;
 everything Python-bound would still serialize on one interpreter lock.
 This module is the ``"process"`` backend of ``ParallelConfig``: a lazy,
-persistent pool of *spawned* worker processes, each owning its own :class:`~repro.server.
-backend.ArrayTrackServer` (and therefore its own steering/bearing/window
-caches, warmed in the worker initializer), with the bulk frame data --
+persistent pool of *spawned* worker processes, each owning its own
+synthesis engine (and therefore its own steering/bearing/window caches,
+warmed in the worker initializer), with the bulk frame data --
 angle grids and spectrum power rows -- moved through one
 ``multiprocessing.shared_memory`` segment per batched call.  Only small
 things cross the pickle pipe:
 
 * down: the segment name, per-array ``(offset, length)`` specs and per-shard
-  index metadata (client/AP ids, positions, timestamps);
+  index metadata (client/AP ids, positions, ``(timestamp, spectrum)``
+  pairs);
 * up: the per-shard fix dictionaries (:class:`~repro.core.localizer.
   LocationEstimate` objects).
 
 Workers rebuild each shard's :class:`~repro.core.spectrum.AoASpectrum`
-objects as zero-copy read-only views into the segment, run the *identical*
-suppression + synthesis stages the serial path runs, and return fixes.
+objects as zero-copy read-only views into the segment, run the one stage
+function the serial path runs (:func:`~repro.api._stages.localize_frames`),
+and return fixes.
 Because every stage is deterministic and the shard merge preserves the
 caller's client order, process-sharded results are bit-for-bit identical to
 the serial path (asserted by ``tests/api/test_process_backend.py``).
@@ -42,18 +44,18 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.localizer import LocationEstimate
+from repro.api._stages import Frames, localize_frames
+from repro.core.cache import default_bearing_cache
+from repro.core.localizer import LocationEstimate, LocationEstimator
 from repro.core.spectrum import AoASpectrum
-from repro.core.suppression import MultipathSuppressor
 from repro.errors import (ConfigurationError, EstimationError,
                           PoolSupervisionError)
 from repro.geometry.vector import Point2D
-from repro.server.backend import ArrayTrackServer
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -210,8 +212,8 @@ def _encode_spectrum(packer: _ArrayPacker,
 # ----------------------------------------------------------------------
 @dataclass
 class _WorkerState:
-    server: ArrayTrackServer
-    suppressor: MultipathSuppressor
+    estimator: LocationEstimator
+    config: "ArrayTrackConfig"
 
 
 _WORKER: _WorkerState | None = None
@@ -219,7 +221,7 @@ _WORKER: _WorkerState | None = None
 
 def _initialize_worker(config: "ArrayTrackConfig",
                        warm_positions: tuple[tuple[float, float], ...]) -> None:
-    """Build this worker's server once and warm its geometry caches.
+    """Build this worker's synthesis engine once and warm its geometry caches.
 
     Runs in the spawned child before any task.  ``config`` arrives through
     the :class:`~repro.api.config.ArrayTrackConfig` dict-round-trip pickle
@@ -229,9 +231,10 @@ def _initialize_worker(config: "ArrayTrackConfig",
     """
     global _WORKER
     assert config.bounds is not None
-    server = ArrayTrackServer(config.bounds, config.server)
-    server.warm_geometry_caches(warm_positions)
-    _WORKER = _WorkerState(server=server, suppressor=config.suppressor)
+    localizer = config.server.localizer
+    default_bearing_cache().warm(config.bounds, localizer.grid_resolution_m,
+                                 warm_positions)
+    _WORKER = _WorkerState(LocationEstimator(config.bounds, localizer), config)
 
 
 def _require_worker() -> _WorkerState:
@@ -281,67 +284,28 @@ def _decode_spectrum(arrays: Sequence[np.ndarray],
 
 
 #: One shard as shipped to a worker: ordered ``(client_id, per_ap)`` pairs,
-#: where ``per_ap`` preserves the caller's AP order exactly (the order is
-#: part of the bit-equality contract).
-_LocalizeShard = tuple[tuple[str, tuple[tuple[str, tuple[_SpectrumRef, ...]],
-                                        ...]], ...]
-_TickShard = tuple[tuple[str, tuple[tuple[str, tuple[tuple[float,
-                                                           _SpectrumRef],
-                                                     ...]], ...]], ...]
+#: where ``per_ap`` holds ``(ap_id, ((timestamp, spectrum ref), ...))`` in
+#: the caller's AP order exactly (the order is part of the bit-equality
+#: contract).
+_Shard = tuple[tuple[str, tuple[tuple[str, tuple[tuple[float, _SpectrumRef],
+                                                 ...]], ...]], ...]
 
 
-def _localize_shard(handle: _SegmentHandle,
-                    shard: _LocalizeShard) -> dict[str, LocationEstimate]:
-    """Worker task behind ``localize_many`` / ``localize_buffered``."""
+def _localize_shard(handle: _SegmentHandle, shard: _Shard,
+                    suppress_groups: bool) -> dict[str, LocationEstimate]:
+    """The one worker task: run the serial path's stages over one shard."""
     worker = _require_worker()
     faults.worker_shard("before-attach")
     with _attached_arrays(handle) as arrays:
         faults.worker_shard("after-attach")
-        batch = {
-            client_id: {ap_id: [_decode_spectrum(arrays, ref) for ref in refs]
+        frames = {
+            client_id: {ap_id: [(timestamp, _decode_spectrum(arrays, ref))
+                                for timestamp, ref in refs]
                         for ap_id, refs in per_ap}
             for client_id, per_ap in shard}
-        estimates = worker.server.localize_batch(batch)
-        del batch
-    faults.worker_shard("before-return")
-    return estimates
-
-
-def _tick_shard(handle: _SegmentHandle, shard: _TickShard,
-                suppress: bool) -> dict[str, LocationEstimate]:
-    """Worker task behind ``tick`` / ``flush``.
-
-    Replicates the service's serial drain exactly: with the
-    streaming suppression stage on, each AP's pending frames are suppressed
-    per time group (on the ingest-resolved timestamps) and the primaries
-    enter the raw synthesis; with it off, the raw pending spectra go
-    through the full batch path.
-    """
-    worker = _require_worker()
-    faults.worker_shard("before-attach")
-    with _attached_arrays(handle) as arrays:
-        faults.worker_shard("after-attach")
-        if suppress:
-            flat: dict[str, list[AoASpectrum]] = {}
-            for client_id, per_ap in shard:
-                processed: list[AoASpectrum] = []
-                for _ap_id, frames in per_ap:
-                    spectra = [_decode_spectrum(arrays, ref)
-                               for _ts, ref in frames]
-                    timestamps = [timestamp for timestamp, _ref in frames]
-                    processed.extend(worker.suppressor.process(
-                        spectra, timestamps=timestamps))
-                flat[client_id] = processed
-            estimates = worker.server.synthesize_batch(flat)
-            del flat
-        else:
-            batch = {
-                client_id: {ap_id: [_decode_spectrum(arrays, ref)
-                                    for _ts, ref in frames]
-                            for ap_id, frames in per_ap}
-                for client_id, per_ap in shard}
-            estimates = worker.server.localize_batch(batch)
-            del batch
+        estimates = localize_frames(worker.estimator, worker.config, frames,
+                                    suppress_groups)
+        del frames
     faults.worker_shard("before-return")
     return estimates
 
@@ -388,7 +352,7 @@ class ProcessShardPool:
 
     Owned by :class:`~repro.api.ArrayTrackService` when
     ``parallel.backend = "process"``.  Workers are spawned on the first
-    sharded call and persist across calls (the per-worker server and its
+    sharded call and persist across calls (the per-worker engine and its
     warmed caches amortize over the service lifetime); :meth:`close` shuts
     them down.  Each batched call moves its frame arrays through one
     shared-memory segment that is unconditionally unlinked before the call
@@ -418,7 +382,7 @@ class ProcessShardPool:
         if config.bounds is None:
             raise ConfigurationError(
                 "a process shard pool needs config.bounds to build its "
-                "per-worker servers")
+                "per-worker synthesis engines")
         self._config = config
         self._warm_positions = tuple(
             (float(x), float(y)) for x, y in warm_positions)
@@ -484,34 +448,35 @@ class ProcessShardPool:
     def localize_shards(self, shards: Sequence[Sequence[str]],
                         spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
                         ) -> dict[str, LocationEstimate]:
-        """Run ``localize_batch`` per shard on the pool and merge in order."""
-        packer = _ArrayPacker()
-        encoded = {
-            client_id: tuple(
-                (ap_id, tuple(_encode_spectrum(packer, spectrum)
-                              for spectrum in spectra))
-                for ap_id, spectra in spectra_by_client[client_id].items())
-            for shard in shards for client_id in shard}
-        return self._run(_localize_shard, packer, shards, encoded)
+        """Localize each shard on the pool (batch-path stage rules).
+
+        Each spectrum travels with its own ``timestamp_s``; shard results
+        merge in shard order.
+        """
+        return self._run(shards, {
+            client_id: {ap_id: [(spectrum.timestamp_s, spectrum)
+                                for spectrum in spectra]
+                        for ap_id, spectra in per_ap.items()}
+            for client_id, per_ap in spectra_by_client.items()}, False)
 
     def tick_shards(self, shards: Sequence[Sequence[str]],
-                    pending_by_client: Mapping[str, Mapping[str, Sequence[tuple[float, AoASpectrum]]]],
+                    pending_by_client: Frames,
                     suppress: bool) -> dict[str, LocationEstimate]:
         """Run the streaming drain (suppression + synthesis) per shard."""
-        packer = _ArrayPacker()
-        encoded = {
-            client_id: tuple(
-                (ap_id, tuple((float(timestamp),
-                               _encode_spectrum(packer, spectrum))
-                              for timestamp, spectrum in frames))
-                for ap_id, frames in pending_by_client[client_id].items())
-            for shard in shards for client_id in shard}
-        return self._run(_tick_shard, packer, shards, encoded, suppress)
+        return self._run(shards, pending_by_client, suppress)
 
-    def _run(self, task: Callable[..., dict[str, LocationEstimate]],
-             packer: _ArrayPacker,
-             shards: Sequence[Sequence[str]], encoded: dict[str, tuple],
-             *extra: object) -> dict[str, LocationEstimate]:
+    def _run(self, shards: Sequence[Sequence[str]], frames_by_client: Frames,
+             suppress_groups: bool) -> dict[str, LocationEstimate]:
+        packer = _ArrayPacker()
+        payloads: list[_Shard] = [
+            tuple(
+                (client_id, tuple(
+                    (ap_id, tuple((float(timestamp),
+                                   _encode_spectrum(packer, spectrum))
+                                  for timestamp, spectrum in frames))
+                    for ap_id, frames in frames_by_client[client_id].items()))
+                for client_id in shard)
+            for shard in shards]
         executor = self._ensure()
         try:
             segment, handle = packer.pack()
@@ -523,22 +488,20 @@ class ProcessShardPool:
                 f"could not allocate the batch's shared-memory segment: "
                 f"{exc}") from exc
         try:
-            payloads = [
-                tuple((client_id, encoded[client_id]) for client_id in shard)
-                for shard in shards]
             if not self._config.resilience.supervise_pool:
-                return self._run_once(executor, task, handle, payloads, extra)
-            return self._run_supervised(executor, task, handle, payloads,
-                                        extra)
+                return self._run_once(executor, handle, payloads,
+                                      suppress_groups)
+            return self._run_supervised(executor, handle, payloads,
+                                        suppress_groups)
         finally:
             _release_segment(segment)
 
     def _run_once(self, executor: ProcessPoolExecutor,
-                  task: Callable[..., dict[str, LocationEstimate]],
-                  handle: _SegmentHandle, payloads: Sequence[tuple],
-                  extra: tuple[object, ...]) -> dict[str, LocationEstimate]:
+                  handle: _SegmentHandle, payloads: Sequence[_Shard],
+                  suppress_groups: bool) -> dict[str, LocationEstimate]:
         """The unsupervised fan out: any failure fails the whole batch."""
-        futures = [executor.submit(task, handle, payload, *extra)
+        futures = [executor.submit(_localize_shard, handle, payload,
+                                   suppress_groups)
                    for payload in payloads]
         merged: dict[str, LocationEstimate] = {}
         try:
@@ -551,9 +514,8 @@ class ProcessShardPool:
         return merged
 
     def _run_supervised(self, executor: ProcessPoolExecutor,
-                        task: Callable[..., dict[str, LocationEstimate]],
-                        handle: _SegmentHandle, payloads: Sequence[tuple],
-                        extra: tuple[object, ...]
+                        handle: _SegmentHandle, payloads: Sequence[_Shard],
+                        suppress_groups: bool
                         ) -> dict[str, LocationEstimate]:
         """Fan out with pool supervision: rebuild + retry failed shards.
 
@@ -571,8 +533,8 @@ class ProcessShardPool:
         pending = list(range(len(payloads)))
         attempt = 0
         while pending:
-            failure, failed = self._collect(executor, task, handle, payloads,
-                                            extra, pending, results)
+            failure, failed = self._collect(executor, handle, payloads,
+                                            suppress_groups, pending, results)
             if failure is None:
                 break
             self._discard_executor(executor)
@@ -608,9 +570,8 @@ class ProcessShardPool:
         return delay
 
     def _collect(self, executor: ProcessPoolExecutor,
-                 task: Callable[..., dict[str, LocationEstimate]],
-                 handle: _SegmentHandle, payloads: Sequence[tuple],
-                 extra: tuple[object, ...], pending: Sequence[int],
+                 handle: _SegmentHandle, payloads: Sequence[_Shard],
+                 suppress_groups: bool, pending: Sequence[int],
                  results: list[dict[str, LocationEstimate] | None]
                  ) -> tuple[BaseException | None, list[int]]:
         """Run one supervision round over the pending shard indices.
@@ -629,7 +590,8 @@ class ProcessShardPool:
             else time.monotonic() + resilience.shard_timeout_s
         try:
             futures: dict[int, Future[dict[str, LocationEstimate]]] = {
-                index: executor.submit(task, handle, payloads[index], *extra)
+                index: executor.submit(_localize_shard, handle,
+                                       payloads[index], suppress_groups)
                 for index in pending}
         except BrokenExecutor as exc:
             # The pool was already broken (e.g. by a crash in a previous

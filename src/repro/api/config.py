@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.ap.access_point import APConfig
@@ -39,22 +39,32 @@ from repro.core.localizer import LocalizerConfig
 from repro.core.pipeline import SpectrumConfig
 from repro.core.suppression import SuppressorConfig
 from repro.errors import ArrayTrackError, ConfigurationError
-from repro.server.backend import ServerConfig
 from repro.server.tracker import TrackerConfig
 
-__all__ = ["ParallelConfig", "ResilienceConfig", "SessionConfig",
-           "ArrayTrackConfig", "default_server_config"]
+__all__ = ["ServerConfig", "ParallelConfig", "ResilienceConfig",
+           "SessionConfig", "ArrayTrackConfig"]
 
 
-def default_server_config() -> ServerConfig:
-    """The server section defaults used by the facade.
+@dataclass
+class ServerConfig:
+    """Configuration of the central server's localization stages.
 
-    Identical to ``ServerConfig()`` except that the localizer applies the
-    documented end-to-end :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`
-    (0.05) instead of the paper-faithful Equation 8 default (0.02).
+    Attributes
+    ----------
+    localizer:
+        Grid/hill-climbing configuration of the position estimator.  The
+        default applies the documented end-to-end
+        :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR` (0.05) instead of
+        the paper-faithful Equation 8 default (0.02).
+    enable_multipath_suppression:
+        On the batch path, run the Section 2.4 algorithm on each AP's
+        spectra of a client when it captured several frames (parameterized
+        by the tree's top-level ``suppressor`` section).
     """
-    return ServerConfig(
-        localizer=LocalizerConfig(spectrum_floor=DEFAULT_SPECTRUM_FLOOR))
+
+    localizer: LocalizerConfig = field(default_factory=lambda: LocalizerConfig(
+        spectrum_floor=DEFAULT_SPECTRUM_FLOOR))
+    enable_multipath_suppression: bool = True
 
 
 @dataclass
@@ -306,19 +316,8 @@ class ResilienceConfig:
 # ----------------------------------------------------------------------
 #: Which fields of each section are themselves nested config dataclasses.
 _NESTED_FIELDS: dict[type, dict[str, type]] = {
-    ServerConfig: {"localizer": LocalizerConfig, "suppressor": SuppressorConfig},
+    ServerConfig: {"localizer": LocalizerConfig},
     APConfig: {"spectrum": SpectrumConfig},
-}
-
-#: Defaults applied when a nested key is absent from a partial dict.  The
-#: one entry keeps partial trees consistent with the facade's documented
-#: defaults: a ``{"server": {}}`` section still gets the 0.05 floor rather
-#: than silently falling back to the bare ``ServerConfig()`` default.
-_SECTION_DEFAULTS: dict[type, dict[str, Callable[[], Any]]] = {
-    ServerConfig: {
-        "localizer": lambda: LocalizerConfig(
-            spectrum_floor=DEFAULT_SPECTRUM_FLOOR),
-    },
 }
 
 #: Field defaults merged into a *partial* nested mapping before parsing,
@@ -371,9 +370,6 @@ def _section_from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
                     f"{nested[key].__name__}, got {type(value).__name__}")
         else:
             kwargs[key] = value
-    for key, factory in _SECTION_DEFAULTS.get(cls, {}).items():
-        if key not in kwargs:
-            kwargs[key] = factory()
     try:
         return cls(**kwargs)
     except ArrayTrackError as exc:
@@ -419,20 +415,18 @@ class ArrayTrackConfig:
         including the per-frame spectrum pipeline section.  APs built via
         :meth:`repro.api.ArrayTrackService.build_ap` use it.
     server:
-        Central-server configuration
-        (:class:`~repro.server.backend.ServerConfig`), including the
-        localizer and the *batch-path* multipath-suppressor sections.  The
-        facade default applies
-        :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`.
+        Central-server configuration (:class:`ServerConfig`): the
+        localizer section and the batch-path suppression toggle.  The
+        default applies :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`.
     session:
         Streaming-session configuration (:class:`SessionConfig`),
         including the ``suppress_multipath`` stage toggle.
     suppressor:
-        Parameters of the *streaming* multipath-suppression stage
+        Parameters of the Section 2.4 multipath suppression
         (:class:`~repro.core.suppression.SuppressorConfig`): peak-match
-        tolerance, grouping window/span and group size.  Only consulted
-        when ``session.suppress_multipath`` is enabled; the batch path
-        keeps its own ``server.suppressor`` section.
+        tolerance, grouping window/span and group size.  One section
+        drives both the batch path (``server.enable_multipath_suppression``)
+        and the streaming stage (``session.suppress_multipath``).
     tracker:
         Per-client fix tracker configuration
         (:class:`~repro.server.tracker.TrackerConfig`): EMA smoothing,
@@ -452,7 +446,7 @@ class ArrayTrackConfig:
     bounds: tuple[float, float, float, float] | None = None
     estimator: str = "music"
     ap: APConfig = field(default_factory=APConfig)
-    server: ServerConfig = field(default_factory=default_server_config)
+    server: ServerConfig = field(default_factory=ServerConfig)
     session: SessionConfig = field(default_factory=SessionConfig)
     suppressor: SuppressorConfig = field(default_factory=SuppressorConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)

@@ -28,6 +28,7 @@ is that service as a single public object, built from one
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
@@ -41,15 +42,15 @@ from repro.api._procpool import (PoolStats, ProcessShardPool, live_segments,
                                  shm_leak_events)
 from repro.api._resilience import (CircuitBreaker, ResilienceStats,
                                    backend_ladder)
+from repro.api._stages import Frames, localize_frames
 from repro.api.config import ArrayTrackConfig, SessionConfig
 from repro.api.registry import EstimatorSpec, get_estimator
-from repro.core.localizer import LocationEstimate
+from repro.core.localizer import LocationEstimate, LocationEstimator
 from repro.core.pipeline import SpectrumConfig
 from repro.core.spectrum import AoASpectrum
 from repro.errors import (BackpressureError, ConfigurationError,
-                          PoisonFrameError, TransientError)
+                          EstimationError, PoisonFrameError, TransientError)
 from repro.geometry.vector import Point2D
-from repro.server.backend import ArrayTrackServer
 from repro.server.tracker import ClientTracker, TrackPoint
 from repro.testing import faults
 
@@ -269,12 +270,15 @@ class ArrayTrackService:
             config = replace(config, ap=replace(config.ap, spectrum=spectrum))
         self.config = config
         self.estimator_spec: EstimatorSpec = spec
-        self._server = ArrayTrackServer(config.bounds, config.server,
-                                        latency_model)
+        #: The Section 2.5 synthesis engine of the serial rung (pool
+        #: workers build their own from the same config).
+        self._estimator = LocationEstimator(config.bounds,
+                                            config.server.localizer)
+        #: Hardware latency model annotating fixes (Section 4.4).
+        self.latency_model = latency_model if latency_model is not None \
+            else LatencyModel()
+        self._last_processing_s: float | None = None
         self.tracker: ClientTracker = config.tracker.build()
-        #: The streaming suppression stage (SuppressorConfig *is* the
-        #: suppressor dataclass, so the config section is used directly).
-        self._suppressor = config.suppressor
         self._sessions: dict[str, Session] = {}
         self._aps: dict[str, ArrayTrackAP] = {}
         #: Lazily created worker pool of the ``parallel`` config section.
@@ -326,11 +330,6 @@ class ArrayTrackService:
     def spectrum_config(self) -> SpectrumConfig:
         """The effective per-frame spectrum config (estimator applied)."""
         return self.config.ap.spectrum
-
-    @property
-    def server(self) -> ArrayTrackServer:
-        """The underlying central server (advanced use)."""
-        return self._server
 
     # ------------------------------------------------------------------
     # AP fleet wiring
@@ -398,6 +397,33 @@ class ArrayTrackService:
                                               warm_positions=warm)
         return self._procpool
 
+    def _localize(self, frames_by_client: Frames, suppress_groups: bool,
+                  process_run: Callable[[list[list[str]]],
+                                        dict[str, LocationEstimate]]
+                  ) -> dict[str, LocationEstimate]:
+        """Serve one batch through the suppression + synthesis stages.
+
+        Small batches and the ``none`` backend run
+        :func:`~repro.api._stages.localize_frames` inline; larger ones are
+        sharded and walk the degradation ladder (``process_run`` ships the
+        shards to the pool).  The one measurement site behind
+        :attr:`last_processing_s`: the clock spans the whole fan-out, so a
+        batch the process rung failed and serial served reports both.
+        """
+        start = time.perf_counter()
+        shards = self._shards(list(frames_by_client))
+
+        def serial_run() -> dict[str, LocationEstimate]:
+            return localize_frames(self._estimator, self.config,
+                                   frames_by_client, suppress_groups)
+
+        if shards is None:
+            estimates = serial_run()
+        else:
+            estimates = self._fanout(lambda: process_run(shards), serial_run)
+        self._last_processing_s = time.perf_counter() - start
+        return estimates
+
     def _fanout(self, process_run: Callable[[], dict[str, LocationEstimate]],
                 serial_run: Callable[[], dict[str, LocationEstimate]]
                 ) -> dict[str, LocationEstimate]:
@@ -419,7 +445,7 @@ class ArrayTrackService:
             run = process_run if self._ladder[index] == "process" \
                 else serial_run
             try:
-                estimates = self._server._timed(run)
+                estimates = run()
             except TransientError as exc:
                 self._breaker.record_failure(index)
                 if index + 1 >= len(self._ladder) \
@@ -460,9 +486,13 @@ class ArrayTrackService:
     # ------------------------------------------------------------------
     def localize(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
                  client_id: str = "") -> LocationEstimate:
-        """Localize one client from per-AP lists of AoA spectra."""
-        self._ensure_open()
-        return self._server._localize_spectra(spectra_by_ap, client_id)
+        """Localize one client from per-AP lists of AoA spectra.
+
+        Each AP contributes one processed spectrum: the suppressed primary
+        of its earliest burst when multipath suppression is enabled and
+        the AP captured several frames, otherwise its first spectrum.
+        """
+        return self.localize_many({client_id: spectra_by_ap})[client_id]
 
     def localize_many(self,
                       spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
@@ -476,13 +506,14 @@ class ArrayTrackService:
         serial path.
         """
         self._ensure_open()
-        shards = self._shards(list(spectra_by_client.keys()))
-        if shards is None:
-            return self._server.localize_batch(spectra_by_client)
-        return self._fanout(
-            lambda: self._process_pool().localize_shards(
-                shards, spectra_by_client),
-            lambda: self._server.localize_batch(spectra_by_client))
+        return self._localize(
+            {client_id: {ap_id: [(spectrum.timestamp_s, spectrum)
+                                 for spectrum in spectra]
+                         for ap_id, spectra in per_ap.items()}
+             for client_id, per_ap in spectra_by_client.items()},
+            False,
+            lambda shards: self._process_pool().localize_shards(
+                shards, spectra_by_client))
 
     def localize_buffered(self, client_ids: Sequence[str],
                           aps: Sequence[ArrayTrackAP] | None = None
@@ -495,7 +526,44 @@ class ArrayTrackService:
         self._ensure_open()
         fleet = list(aps) if aps is not None else list(self._aps.values())
         return self.localize_many(
-            self._server.collect_buffered(fleet, list(client_ids)))
+            self._collect_buffered(fleet, list(client_ids)))
+
+    @staticmethod
+    def _collect_buffered(aps: Sequence[ArrayTrackAP],
+                          client_ids: Sequence[str]
+                          ) -> dict[str, dict[str, list[AoASpectrum]]]:
+        """Gather the buffered per-AP spectra of every requested client.
+
+        Each AP computes the spectra of *all* requested clients' pending
+        frames in one batched Section 2.3 frontend pass
+        (:meth:`~repro.ap.access_point.ArrayTrackAP.spectra_for_clients`),
+        so a buffered sweep costs one stacked covariance/eigh/projection
+        sweep per AP rather than one per frame.  Clients no AP currently
+        holds frames for are omitted from the result.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``aps`` is empty.
+        EstimationError
+            If none of the requested clients has any buffered frames.
+        """
+        if not aps:
+            raise ConfigurationError("need at least one AP to localize")
+        per_ap_spectra = [ap.spectra_for_clients(client_ids) for ap in aps]
+        spectra_by_client: dict[str, dict[str, list[AoASpectrum]]] = {}
+        for client_id in client_ids:
+            per_ap: dict[str, list[AoASpectrum]] = {}
+            for ap, ap_spectra in zip(aps, per_ap_spectra, strict=True):
+                spectra = ap_spectra.get(client_id)
+                if spectra:
+                    per_ap[ap.ap_id] = spectra
+            if per_ap:
+                spectra_by_client[client_id] = per_ap
+        if not spectra_by_client:
+            raise EstimationError(
+                "none of the requested clients has any buffered frames")
+        return spectra_by_client
 
     # ------------------------------------------------------------------
     # Streaming sessions
@@ -848,41 +916,19 @@ class ArrayTrackService:
         # every drained client's pending frames.  On such an error the
         # exception propagates with all sessions intact; the caller can
         # discard a poisoned session explicitly via session.drain().
+        # With session.suppress_multipath on, each AP's pending frames are
+        # grouped on their ingest-resolved timestamps and every group's
+        # suppressed primary enters the synthesis (the paper's full
+        # detect -> buffer -> spectrum -> suppression -> synthesis chain).
+        # Sessions are only read here; the tracker commit below stays in
+        # the calling process.
+        pending = {client_id: session.pending_timestamped()
+                   for client_id, session in sessions.items()}
         suppress = self.config.session.suppress_multipath
-
-        def synthesize() -> dict[str, LocationEstimate]:
-            if suppress:
-                # detect -> buffer -> spectrum -> multipath suppression ->
-                # synthesis (the paper's full pipeline): each AP's pending
-                # frames are grouped by capture time and every group's
-                # suppressed primary enters the one-pass synthesis.  The
-                # raw batch entry is skipped so the server's batch-path
-                # suppressor cannot run a second time over the
-                # already-suppressed output.
-                return self._server.synthesize_batch(
-                    {client_id: self._suppress_pending(session)
-                     for client_id, session in sessions.items()})
-            return self._server.localize_batch(
-                {client_id: session.pending_spectra()
-                 for client_id, session in sessions.items()})
-
-        shards = self._shards(list(sessions.keys()))
-        if shards is None:
-            estimates = self._server._timed(synthesize)
-        else:
-            # Both rungs of the ladder run the identical suppression +
-            # synthesis stages over the ready sessions: the process rung
-            # ships each session's pending (timestamp, spectrum) pairs to
-            # the worker processes through shared memory, serial runs them
-            # inline.  Sessions are only read here, and the tracker commit
-            # below stays in the calling process.
-            estimates = self._fanout(
-                lambda: self._process_pool().tick_shards(
-                    shards,
-                    {client_id: session.pending_timestamped()
-                     for client_id, session in sessions.items()},
-                    suppress),
-                synthesize)
+        estimates = self._localize(
+            pending, suppress,
+            lambda shards: self._process_pool().tick_shards(
+                shards, pending, suppress))
         timestamps: dict[str, float] = {}
         for client_id in estimates:
             session = sessions[client_id]
@@ -903,24 +949,6 @@ class ArrayTrackService:
             fixes[client_id] = estimate
         return fixes
 
-    def _suppress_pending(self, session: Session) -> list[AoASpectrum]:
-        """Run the streaming multipath-suppression stage on one session.
-
-        Each AP's pending frames are grouped on their ingest-resolved
-        timestamps (gap-anchored, see
-        :func:`~repro.core.suppression.group_spectra_by_time`) and the
-        Figure 8 algorithm reduces every group to its suppressed primary,
-        so a session spanning several capture bursts contributes one
-        cleaned spectrum per AP and burst to the synthesis.
-        """
-        processed: list[AoASpectrum] = []
-        for frames in session.pending_timestamped().values():
-            spectra = [spectrum for _, spectrum in frames]
-            timestamps = [timestamp for timestamp, _ in frames]
-            processed.extend(
-                self._suppressor.process(spectra, timestamps=timestamps))
-        return processed
-
     # ------------------------------------------------------------------
     # Client tracks
     # ------------------------------------------------------------------
@@ -937,21 +965,28 @@ class ArrayTrackService:
         return self.tracker.latest(client_id)
 
     # ------------------------------------------------------------------
-    # Latency accounting passthrough (Section 4.4)
+    # Latency accounting (Section 4.4)
     # ------------------------------------------------------------------
     @property
     def last_processing_s(self) -> float | None:
-        """Wall-clock duration of the most recent localization call, if measured.
+        """Wall-clock duration of the most recent localization call.
 
         Covers suppression + synthesis on every path -- serial, sharded,
-        and streaming (:meth:`tick` / :meth:`flush`) alike.
+        degraded and streaming (:meth:`tick` / :meth:`flush`) alike; None
+        before the first fix.
         """
-        return self._server.last_processing_s
+        return self._last_processing_s
 
     def latency_breakdown(self, payload_bytes: int = 1500,
                           bitrate_mbps: float = 54.0,
                           use_measured_processing: bool = False
                           ) -> LatencyBreakdown:
-        """Return the end-to-end latency breakdown of a fix."""
-        return self._server.latency_breakdown(payload_bytes, bitrate_mbps,
-                                              use_measured_processing)
+        """Return the end-to-end latency breakdown of a fix.
+
+        With ``use_measured_processing``, the wall-clock time of the most
+        recent fix replaces the paper's 100 ms Matlab processing figure.
+        """
+        model = self.latency_model
+        if use_measured_processing and self._last_processing_s is not None:
+            model = replace(model, processing_s=self._last_processing_s)
+        return model.breakdown(payload_bytes, bitrate_mbps)

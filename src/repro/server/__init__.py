@@ -1,7 +1,9 @@
-"""Server layer: spectra aggregation, localization and client tracking."""
+"""Server layer: per-client fix tracking.
 
-from repro.server.backend import ArrayTrackServer, ServerConfig
+The central server's suppression and synthesis stages run inside
+:class:`repro.api.ArrayTrackService`.
+"""
+
 from repro.server.tracker import ClientTracker, TrackerConfig, TrackPoint
 
-__all__ = ["ArrayTrackServer", "ServerConfig", "ClientTracker",
-           "TrackerConfig", "TrackPoint"]
+__all__ = ["ClientTracker", "TrackerConfig", "TrackPoint"]

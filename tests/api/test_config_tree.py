@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.api import (ArrayTrackConfig, ArrayTrackService, ResilienceConfig,
-                       SessionConfig, TrackerConfig, default_server_config)
+                       ServerConfig, SessionConfig, TrackerConfig)
 from repro.channel import MultipathChannel
 from repro.constants import DEFAULT_SPECTRUM_FLOOR
 from repro.core import LocalizerConfig, SpectrumConfig, SuppressorConfig
 from repro.errors import ConfigurationError
 from repro.geometry import Point2D
-from repro.server import ServerConfig
 from repro.testing import reference
 
 
@@ -26,13 +25,13 @@ class TestRoundTrip:
             server=ServerConfig(
                 localizer=LocalizerConfig(grid_resolution_m=0.5,
                                           spectrum_floor=0.1),
-                enable_multipath_suppression=False,
-                suppressor=SuppressorConfig(tolerance_deg=7.0)),
+                enable_multipath_suppression=False),
+            suppressor=SuppressorConfig(tolerance_deg=7.0),
             session=SessionConfig(emit_every_frames=5, max_age_s=0.25),
         )
         restored = ArrayTrackConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.server.suppressor.tolerance_deg == 7.0
+        assert restored.suppressor.tolerance_deg == 7.0
 
     def test_json_round_trip(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 8.0, 4.0),
@@ -68,7 +67,7 @@ class TestDefaults:
     def test_partial_server_section_keeps_facade_floor(self):
         config = ArrayTrackConfig.from_dict({"server": {}})
         assert config.server.localizer.spectrum_floor == DEFAULT_SPECTRUM_FLOOR
-        assert config.server == default_server_config()
+        assert config.server == ServerConfig()
 
     def test_partial_localizer_section_keeps_other_defaults(self):
         config = ArrayTrackConfig.from_dict(
@@ -157,6 +156,21 @@ class TestOverrides:
         # The original is untouched.
         assert config.ap.spectrum.method == "music"
 
+    def test_every_leaf_is_a_settable_path(self):
+        """The tree has 53 leaves, each reachable by a dotted override."""
+        def leaves(data, prefix=""):
+            for key, value in data.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}", value
+
+        config = ArrayTrackConfig()
+        paths = dict(leaves(config.to_dict()))
+        assert len(paths) == 53
+        for path, value in paths.items():
+            assert config.updated({path: value}) == config
+
     def test_unknown_dotted_path_rejected(self):
         config = ArrayTrackConfig()
         with pytest.raises(ConfigurationError, match="unknown configuration path"):
@@ -207,12 +221,15 @@ class TestOverrides:
 #: Options this config tree no longer has, as (dotted path, value, match).
 #: The serial-reference knobs are gone -- the oracles live in
 #: repro.testing.reference, selectable by no config path -- and so is the
-#: thread backend.
+#: thread backend.  Processing time is always measured, and the top-level
+#: ``suppressor`` section drives both the batch and the streaming path.
 REMOVED_OPTIONS = [
     ("ap.spectrum.vectorized_frontend", False, "vectorized_frontend"),
     ("server.localizer.vectorized_refinement", False,
      "vectorized_refinement"),
     ("parallel.backend", "thread", "backend"),
+    ("server.suppressor.tolerance_deg", 7.0, "suppressor"),
+    ("server.measure_processing_time", True, "measure_processing_time"),
 ]
 _REMOVED_IDS = [path for path, _, _ in REMOVED_OPTIONS]
 

@@ -12,14 +12,13 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.api import (ArrayTrackConfig, ArrayTrackService, ParallelConfig,
-                       SessionConfig)
+                       ServerConfig, SessionConfig)
 from repro.api._procpool import live_segments
 from repro.channel import MultipathChannel
 from repro.core import (AoASpectrum, LocalizerConfig, MultipathSuppressor,
                         default_angle_grid)
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
-from repro.server import ServerConfig
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
 AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
@@ -141,8 +140,7 @@ class TestShardedLocalizeMany:
 
     def test_measured_processing_time_covers_whole_pass(self):
         service = _service(parallel={"backend": "process", "num_workers": 2,
-                                     "min_clients_per_worker": 2},
-                           **{"server.measure_processing_time": True})
+                                     "min_clients_per_worker": 2})
         service.localize_many(_clients(8))
         assert service.last_processing_s is not None
         assert service.last_processing_s > 0.0
@@ -162,13 +160,11 @@ class TestProcessingTime:
 
     @staticmethod
     def _sleepy_service(**session):
-        """A serial service whose batch and streaming suppressors sleep."""
+        """A serial service whose suppressor (both paths) sleeps."""
         config = ArrayTrackConfig(
             bounds=BOUNDS,
             server=ServerConfig(
-                localizer=LocalizerConfig(grid_resolution_m=0.5),
-                suppressor=_SleepySuppressor(),
-                measure_processing_time=True),
+                localizer=LocalizerConfig(grid_resolution_m=0.5)),
             suppressor=_SleepySuppressor(),
             session=SessionConfig(**session))
         return ArrayTrackService(config)

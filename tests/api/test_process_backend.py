@@ -19,7 +19,7 @@ import pytest
 from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.api._procpool import SEGMENT_PREFIX, live_segments
 from repro.channel import MultipathChannel
-from repro.core import AoASpectrum, default_angle_grid
+from repro.core import AoASpectrum, LocationEstimator, default_angle_grid
 from repro.geometry import Point2D, bearing_deg
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
@@ -139,6 +139,54 @@ class TestLocalizeBufferedMatrix:
             processed = process_service.localize_buffered(client_ids)
             _assert_no_segments()
         _assert_identical(processed, serial)
+
+
+class TestEarliestBurstIsFolded:
+    """ap0's frames arrive newest burst first; the batch path still folds
+    the primary of the *earliest* burst (time groups sort ascending)."""
+
+    COUNT = 6
+
+    @staticmethod
+    def _clients(count):
+        rng = np.random.default_rng(5)
+        clients = {}
+        for index in range(count):
+            old, new = (Point2D(rng.uniform(2, 18), rng.uniform(2, 8))
+                        for _ in range(2))
+            clients[f"c{index}"] = {
+                "ap0": [_spectrum_towards(AP_POSITIONS[0], target,
+                                          timestamp_s=timestamp)
+                        for target, timestamp in ((new, 1.0), (new, 1.03),
+                                                  (old, 0.0), (old, 0.03))],
+                **{f"ap{i}": [_spectrum_towards(position, old)]
+                   for i, position in enumerate(AP_POSITIONS[1:], 1)}}
+        return clients
+
+    @staticmethod
+    def _fold(config, clients, burst):
+        """Bare synthesis of one ap0 burst's suppressed primary + others."""
+        estimator = LocationEstimator(BOUNDS, config.server.localizer)
+        return estimator.estimate_batch({
+            client_id: [config.suppressor.process(per_ap["ap0"][burst])[0],
+                        per_ap["ap1"][0], per_ap["ap2"][0]]
+            for client_id, per_ap in clients.items()})
+
+    @pytest.mark.parametrize("backend", ["none", "process"])
+    def test_localize_and_localize_many_fold_earliest_burst(self, backend):
+        clients = self._clients(self.COUNT)
+        config = _config(backend)
+        earliest = self._fold(config, clients, slice(2, 4))
+        newest = self._fold(config, clients, slice(0, 2))
+        assert all(earliest[key].likelihood != newest[key].likelihood
+                   for key in clients)
+        with ArrayTrackService(config) as service:
+            _assert_identical(service.localize_many(clients), earliest)
+            if backend == "process":
+                assert service._procpool is not None
+            single = {client_id: service.localize(per_ap, client_id)
+                      for client_id, per_ap in clients.items()}
+            _assert_identical(single, earliest)
 
 
 class TestStreamingMatrix:

@@ -176,6 +176,22 @@ class TestDegradationLadder:
             assert health["breaker"]["state"] == "closed"
             assert health["backend"]["active"] == "process"
 
+    def test_degraded_call_reports_the_whole_fanout_time(self,
+                                                          serial_fixes):
+        # Every shard stalls past its 0.3 s deadline with no retry budget:
+        # the process rung fails and serial serves the batch.  The call's
+        # processing time spans both rungs, not just the serial one.
+        faults.activate(faults.FaultSpec(
+            kind="slow-worker", stage="after-attach", delay_s=30.0))
+        with _process_service(
+                **{"resilience.shard_timeout_s": 0.3,
+                   "resilience.max_retries": 0}) as service:
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            assert service.health()["fallbacks"]["served_by"] == \
+                {"serial": 1}
+            assert service.last_processing_s >= 0.3
+
     def test_shm_allocation_failure_degrades_to_serial(self, serial_fixes):
         faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
                                          times=1))

@@ -6,7 +6,7 @@ import pytest
 from repro.ap import APConfig, ArrayTrackAP
 from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.channel import MultipathChannel
-from repro.core import AoASpectrum, default_angle_grid
+from repro.core import AoASpectrum, LocationEstimator, default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
 
@@ -34,6 +34,12 @@ def _service(**overrides):
     config = ArrayTrackConfig(bounds=BOUNDS).updated(
         {"server.localizer.grid_resolution_m": 0.2, **overrides})
     return ArrayTrackService(config)
+
+
+def _synthesis():
+    """A bare synthesis engine on the facade's localizer section: the
+    oracle for spectra that must enter the fold exactly as given."""
+    return LocationEstimator(BOUNDS, _service().config.server.localizer)
 
 
 def _spectra_for(target, timestamp_s=0.0):
@@ -291,7 +297,7 @@ class TestStreamingSuppression:
         assert fixes["c"].position.distance_to(TARGET) < 0.3
         # The ghost lobe was attenuated before synthesis: folding the raw
         # frames instead gives a different likelihood product.
-        raw = _service().server.synthesize_batch(
+        raw = _synthesis().estimate_batch(
             {"c": [s for frames in spectra.values() for s in frames]})
         assert fixes["c"].likelihood != raw["c"].likelihood
 
@@ -308,12 +314,11 @@ class TestStreamingSuppression:
                                 "session.suppress_multipath": True})
         self._ingest_all(streaming, spectra)
         fixes = streaming.tick()
-        reference = _service()
-        suppressor = reference.config.suppressor
+        suppressor = _service().config.suppressor
         processed = [out for frames in spectra.values()
                      for out in suppressor.process(frames)]
         assert len(processed) == 4  # 2 bursts for ap0, 1 spectrum each other
-        expected = reference.server.synthesize_batch({"c": processed})
+        expected = _synthesis().estimate_batch({"c": processed})
         assert fixes["c"].position == expected["c"].position
         assert fixes["c"].likelihood == expected["c"].likelihood
 
@@ -332,7 +337,7 @@ class TestStreamingSuppression:
         for ap_id, spectrum in others.items():
             streaming.ingest(ap_id, spectrum, client_id="c", timestamp_s=5.0)
         fixes = streaming.tick()
-        expected = _service().server.synthesize_batch(
+        expected = _synthesis().estimate_batch(
             {"c": [ghost_frame, clean_frame, *others.values()]})
         assert fixes["c"].position == expected["c"].position
         assert fixes["c"].likelihood == expected["c"].likelihood
@@ -349,7 +354,7 @@ class TestStreamingSuppression:
                                 "suppressor.window_s": 0.0})
         self._ingest_all(streaming, spectra)
         fixes = streaming.tick()
-        expected = _service().server.synthesize_batch(
+        expected = _synthesis().estimate_batch(
             {"c": [s for frames in spectra.values() for s in frames]})
         assert fixes["c"].position == expected["c"].position
         assert fixes["c"].likelihood == expected["c"].likelihood

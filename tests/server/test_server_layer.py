@@ -1,13 +1,14 @@
-"""Tests for the ArrayTrack server backend and the client tracker."""
+"""Tests for the service's server stages and the client tracker."""
 
 import numpy as np
 import pytest
 
-from repro.api import ArrayTrackConfig, ArrayTrackService
-from repro.core import AoASpectrum, LocalizerConfig, LocationEstimate, default_angle_grid
+from repro.api import ArrayTrackConfig, ArrayTrackService, ServerConfig
+from repro.core import (AoASpectrum, LocalizerConfig, LocationEstimate,
+                        LocationEstimator, default_angle_grid)
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
-from repro.server import ArrayTrackServer, ClientTracker, ServerConfig
+from repro.server import ClientTracker
 
 
 def _spectrum_towards(ap_position, target, width=3.0, timestamp_s=0.0,
@@ -30,52 +31,60 @@ TARGET = Point2D(12.0, 6.0)
 AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
 
 
-class TestArrayTrackServer:
-    def _config(self, **config_kwargs):
-        return ServerConfig(localizer=LocalizerConfig(grid_resolution_m=0.2),
-                            **config_kwargs)
+class TestServerStages:
+    """The service's suppression + synthesis stages on hand-made spectra."""
 
-    def _server(self, **config_kwargs):
-        return ArrayTrackServer(BOUNDS, self._config(**config_kwargs))
-
-    def _service(self, **config_kwargs):
-        """A facade over the same server config (single-client entry)."""
+    def _service(self, **server):
         return ArrayTrackService(ArrayTrackConfig(
-            bounds=BOUNDS, server=self._config(**config_kwargs)))
+            bounds=BOUNDS, server=ServerConfig(
+                localizer=LocalizerConfig(grid_resolution_m=0.2), **server)))
 
-    def test_multipath_suppression_removes_unstable_ghost(self):
-        """A reflection peak present in only one frame should be suppressed."""
-        ghost_bearing = 200.0
-        spectra = {
+    @staticmethod
+    def _synthesis(service):
+        """A bare synthesis engine on the service's localizer section."""
+        return LocationEstimator(BOUNDS, service.config.server.localizer)
+
+    @staticmethod
+    def _ghost_spectra():
+        """ap0 hears a 200 degree reflection in one of its two frames."""
+        return {
             "ap0": [
                 _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.0,
-                                  extra_peak=ghost_bearing),
+                                  extra_peak=200.0),
                 _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.03),
             ],
             "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
             "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
         }
+
+    def test_multipath_suppression_removes_unstable_ghost(self):
+        """A reflection peak present in only one frame should be suppressed."""
         with_suppression = self._service(enable_multipath_suppression=True)
-        estimate = with_suppression.localize(spectra)
+        estimate = with_suppression.localize(self._ghost_spectra())
         assert estimate.position.distance_to(TARGET) < 0.3
 
     def test_no_spectra_raises(self):
         with pytest.raises(EstimationError):
             self._service().localize({})
 
-    def test_localize_client_requires_aps(self):
+    def test_localize_buffered_requires_aps(self):
         with pytest.raises(ConfigurationError):
-            self._server().localize_client([], "c")
+            self._service().localize_buffered(["c"], aps=[])
+
+    def test_localize_buffered_without_fleet_requires_aps(self):
+        with pytest.raises(ConfigurationError):
+            self._service().localize_buffered(["c"])
 
     def test_latency_breakdown_uses_measured_processing(self):
-        server = self._server(measure_processing_time=True)
+        service = self._service()
+        assert service.last_processing_s is None
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        server.localize_batch({"c": spectra})
-        assert server.last_processing_s is not None
-        breakdown = server.latency_breakdown(use_measured_processing=True)
-        assert breakdown.processing_s == pytest.approx(server.last_processing_s)
-        paper = server.latency_breakdown(use_measured_processing=False)
+        service.localize_many({"c": spectra})
+        assert service.last_processing_s is not None
+        breakdown = service.latency_breakdown(use_measured_processing=True)
+        assert breakdown.processing_s == pytest.approx(service.last_processing_s)
+        paper = service.latency_breakdown(use_measured_processing=False)
         assert paper.processing_s == pytest.approx(0.1)
 
     def _batch_of_clients(self, count):
@@ -89,83 +98,59 @@ class TestArrayTrackServer:
             }
         return clients
 
-    def test_localize_batch_matches_sequential_loop(self):
+    def test_localize_many_matches_sequential_loop(self):
         service = self._service()
         clients = self._batch_of_clients(5)
         sequential = {client_id: service.localize(spectra, client_id)
                       for client_id, spectra in clients.items()}
-        batched = service.server.localize_batch(clients)
+        batched = service.localize_many(clients)
         assert set(batched) == set(clients)
         for client_id in clients:
             assert batched[client_id].position.distance_to(
                 sequential[client_id].position) <= 1e-9
             assert batched[client_id].client_id == client_id
 
-    def test_localize_batch_runs_multipath_suppression_per_client(self):
+    def test_localize_many_runs_multipath_suppression_per_client(self):
         """Each client's per-AP frames are suppressed exactly as when alone."""
-        ghost_bearing = 200.0
-        spectra = {
-            "ap0": [
-                _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.0,
-                                  extra_peak=ghost_bearing),
-                _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.03),
-            ],
-            "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
-            "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
-        }
+        spectra = self._ghost_spectra()
         service = self._service(enable_multipath_suppression=True)
         single = service.localize(spectra, "c0")
-        batched = service.server.localize_batch({"c0": spectra})
+        batched = service.localize_many({"c0": spectra})
         assert batched["c0"].position.distance_to(single.position) <= 1e-9
         assert batched["c0"].position.distance_to(TARGET) < 0.3
 
-    def test_localize_batch_rejects_empty_input(self):
-        server = self._server()
+    def test_localize_many_rejects_empty_input(self):
+        service = self._service()
         with pytest.raises(EstimationError):
-            server.localize_batch({})
+            service.localize_many({})
         with pytest.raises(EstimationError):
-            server.localize_batch({"c": {}})
+            service.localize_many({"c": {}})
+        with pytest.raises(EstimationError, match="'c'"):
+            service.localize_many({"c": {"ap0": []}})
 
-    def test_localize_clients_requires_aps(self):
-        with pytest.raises(ConfigurationError):
-            self._server().localize_clients([], ["c"])
-
-    def test_synthesize_batch_skips_server_side_suppression(self):
-        """Pre-suppressed spectra must enter the synthesis untouched."""
-        ghost_bearing = 200.0
-        ghost = _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.0,
-                                  extra_peak=ghost_bearing)
-        companion = _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.03)
-        others = [_spectrum_towards(p, TARGET) for p in AP_POSITIONS[1:]]
-        server = self._server(enable_multipath_suppression=True)
-        # localize_batch groups ap0's pair and folds the one suppressed
-        # primary (3 spectra total); synthesize_batch folds exactly what it
-        # is given (all 4 raw spectra) -- no second suppression pass.
-        suppressed = server.localize_batch(
-            {"c": {"ap0": [ghost, companion],
-                   "ap1": [others[0]], "ap2": [others[1]]}})["c"]
-        raw = server.synthesize_batch({"c": [ghost, companion] + others})["c"]
+    def test_suppression_changes_what_the_synthesis_folds(self):
+        """The suppressed primary, not the raw frames, enters the fold."""
+        spectra = self._ghost_spectra()
+        service = self._service(enable_multipath_suppression=True)
+        # ap0's pair is grouped and folds one suppressed primary (3
+        # spectra total); the bare engine folds all 4 raw spectra.
+        suppressed = service.localize_many({"c": spectra})["c"]
+        raw = self._synthesis(service).estimate_batch(
+            {"c": [s for frames in spectra.values() for s in frames]})["c"]
         assert suppressed.position.distance_to(TARGET) < 0.3
         assert raw.likelihood != suppressed.likelihood
 
-    def test_synthesize_batch_matches_unsuppressed_localize_batch(self):
-        server = self._server(enable_multipath_suppression=False)
+    def test_unsuppressed_localize_many_matches_bare_synthesis(self):
+        service = self._service(enable_multipath_suppression=False)
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        via_batch = server.localize_batch({"c": spectra})["c"]
-        via_synthesis = server.synthesize_batch(
+        via_service = service.localize_many({"c": spectra})["c"]
+        via_synthesis = self._synthesis(service).estimate_batch(
             {"c": [s[0] for s in spectra.values()]})["c"]
-        assert via_batch.position == via_synthesis.position
-        assert via_batch.likelihood == via_synthesis.likelihood
+        assert via_service.position == via_synthesis.position
+        assert via_service.likelihood == via_synthesis.likelihood
 
-    def test_synthesize_batch_rejects_empty_input(self):
-        server = self._server()
-        with pytest.raises(EstimationError):
-            server.synthesize_batch({})
-        with pytest.raises(EstimationError, match="'c'"):
-            server.synthesize_batch({"c": []})
-
-    def test_localize_batch_ragged_ap_subsets(self):
+    def test_localize_many_ragged_ap_subsets(self):
         """Clients heard by different AP subsets localize in one batch."""
         service = self._service()
         rng = np.random.default_rng(13)
@@ -177,7 +162,7 @@ class TestArrayTrackServer:
             clients[f"c{index}"] = spectra
         sequential = {cid: service.localize(s, cid)
                       for cid, s in clients.items()}
-        batched = service.server.localize_batch(clients)
+        batched = service.localize_many(clients)
         for cid in clients:
             assert batched[cid].position.distance_to(
                 sequential[cid].position) <= 1e-9

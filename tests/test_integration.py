@@ -3,10 +3,9 @@
 import numpy as np
 
 from repro.api import ArrayTrackConfig, ArrayTrackService
-from repro.core import LocalizerConfig
 from repro.geometry import Point2D
 from repro.channel import random_waypoint_track
-from repro.server import ArrayTrackServer, ClientTracker, ServerConfig
+from repro.server import ClientTracker
 from repro.testbed import ScenarioConfig, SimulatedDeployment, build_office_testbed
 
 
@@ -59,21 +58,17 @@ class TestFullPipeline:
                 sequential[client_id].position) <= 1e-9
             assert batched[client_id].num_aps == sequential[client_id].num_aps
 
-    def test_localize_clients_end_to_end(self):
+    def test_localize_buffered_end_to_end(self):
         """AP-level batch entry point produces fixes for every buffered client."""
         testbed = build_office_testbed()
         deployment = SimulatedDeployment(testbed,
                                          ScenarioConfig(frames_per_client=1,
                                                         seed=31))
-        server = ArrayTrackServer(
-            testbed.bounds,
-            ServerConfig(localizer=LocalizerConfig(grid_resolution_m=0.4,
-                                                   spectrum_floor=0.05)))
         client_ids = testbed.client_ids()[:3]
         for client_id in client_ids:
             deployment.capture_client(client_id)
-        estimates = server.localize_clients(list(deployment.aps.values()),
-                                            client_ids)
+        estimates = _service(testbed.bounds).localize_buffered(
+            client_ids, aps=list(deployment.aps.values()))
         assert set(estimates) == set(client_ids)
         for client_id in client_ids:
             truth = testbed.client_position(client_id)
